@@ -97,7 +97,6 @@ PointResult run_point(const Network& net, const FaultPlan& base_plan,
                                      o);
 
     RunOptions opts;
-    opts.engine.mode = EngineOptions::Mode::kCalendar;
     opts.engine.latency_factor = 2;  // §V half-speed objects
     opts.engine.fault = plan;
     opts.collect_schedule = false;

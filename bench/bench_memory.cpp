@@ -2,12 +2,12 @@
 // for the zero-allocation messaging hot path.
 //
 // Three measurements, emitted as BENCH_memory.json (dtm-bench-memory-v1):
-//   bus         messages/sec through the frozen pre-wheel ReferenceHeapBus
-//               (fresh drain vector per step, no reply-buffer pooling — the
-//               old allocation profile) vs the wheel-backed MessageBus
-//               (persistent drain scratch + spilled-reply pool, the shape
-//               dist-bucket's pump loop uses). Both sides replay the SAME
-//               seeded traffic and must agree on a delivery checksum.
+//   bus         messages/sec through the wheel-backed MessageBus in two
+//               shapes: "fresh" (fresh drain vector per step, no
+//               reply-buffer pooling — the old allocation profile) vs
+//               "pooled" (persistent drain scratch + spilled-reply pool, the
+//               shape dist-bucket's pump loop uses). Both sides replay the
+//               SAME seeded traffic and must agree on a delivery checksum.
 //   alloc       allocs/step and bytes/step for both sides over the measured
 //               window, from the DTM_ALLOC_TRACK operator-new hooks. In a
 //               build without the option the hooks read zero; the JSON
@@ -51,8 +51,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kSendsPerStep = 8;
 constexpr std::size_t kSpillUsers = 12;  // > ReplyUsers inline capacity
-/// The microbench network size (big diameter -> deep in-flight queue, which
-/// is where heap percolation cost lives).
+/// The microbench network size (big diameter -> deep in-flight queue).
 constexpr std::int64_t kBusNodes = 256;
 
 /// One step's traffic: mixed probe/report sends plus one reply whose user
@@ -60,11 +59,11 @@ constexpr std::int64_t kBusNodes = 256;
 /// `pool` is the spilled-buffer freelist ("after" shape); passing nullptr
 /// reproduces the old allocate-per-reply behavior ("before" shape).
 /// Endpoints are a deterministic period-64 pattern (64 | wheel ring size):
-/// per-slot loads repeat exactly, so the wheel side's allocs/step pins to
+/// per-slot loads repeat exactly, so the pooled side's allocs/step pins to
 /// zero after warmup instead of only tending there (see
 /// tests/alloc_pin_test.cpp for the argument).
-template <typename Bus>
-void send_step_traffic(Bus& bus, Time now, std::vector<ReplyUsers>* pool) {
+void send_step_traffic(MessageBus& bus, Time now,
+                       std::vector<ReplyUsers>* pool) {
   int pick = 0;
   const auto node = [&] {
     return static_cast<NodeId>(((now & 63) * 37 + 11 * pick++) &
@@ -107,8 +106,7 @@ struct BusSide {
 /// Drives `steps` of send -> drain through `bus`. `persistent_scratch`
 /// selects the after-shape drain (reused buffer + reply pool) vs the
 /// before-shape (fresh vector per drain, fresh reply buffers).
-template <typename Bus>
-BusSide run_bus_side(Bus& bus, Time warmup, Time steps,
+BusSide run_bus_side(MessageBus& bus, Time warmup, Time steps,
                      bool persistent_scratch) {
   std::vector<Message> scratch;
   std::vector<ReplyUsers> pool;
@@ -220,8 +218,8 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string out = "BENCH_memory.json";
   Cli cli("bench_memory",
-          "before/after memory-discipline evidence: heap vs wheel bus "
-          "throughput, allocs/step, end-to-end dist-bucket steps/sec");
+          "before/after memory-discipline evidence: fresh vs pooled bus "
+          "drains, allocs/step, end-to-end dist-bucket steps/sec");
   cli.add_flag("quick", "fewer steps/reps for CI smoke runs", &quick);
   std::string out_arg;
   cli.add_value("out", "JSON output path (default BENCH_memory.json)",
@@ -234,19 +232,19 @@ int main(int argc, char** argv) {
   const Time bus_steps = quick ? 4000 : 40000;
   const int e2e_reps = quick ? 2 : 5;
 
-  std::cout << "### memory — heap vs wheel bus, "
+  std::cout << "### memory — fresh vs pooled bus drains, "
             << (alloc_tracking_enabled() ? "alloc tracking ON"
                                          : "alloc tracking OFF")
             << (quick ? " (quick)" : "") << "\n";
 
   const Network bus_net = make_line(kBusNodes);
-  ReferenceHeapBus heap(*bus_net.oracle);
-  MessageBus wheel(*bus_net.oracle);
-  const BusSide before = run_bus_side(heap, warmup, bus_steps, false);
-  const BusSide after = run_bus_side(wheel, warmup, bus_steps, true);
+  MessageBus fresh_bus(*bus_net.oracle);
+  MessageBus pooled_bus(*bus_net.oracle);
+  const BusSide before = run_bus_side(fresh_bus, warmup, bus_steps, false);
+  const BusSide after = run_bus_side(pooled_bus, warmup, bus_steps, true);
   DTM_CHECK(before.checksum == after.checksum &&
                 before.delivered == after.delivered,
-            "heap and wheel buses diverged on identical traffic (delivered "
+            "fresh and pooled drains diverged on identical traffic (delivered "
                 << before.delivered << " vs " << after.delivered << ")");
   const double speedup = after.msgs_per_sec / std::max(before.msgs_per_sec, 1e-9);
 
@@ -254,11 +252,11 @@ int main(int argc, char** argv) {
   std::cout << "bus (line-" << kBusNodes << ", " << kSendsPerStep
             << " sends/step, " << bus_steps << " steps after " << warmup
             << " warmup):\n"
-            << "  heap   " << std::setprecision(0) << before.msgs_per_sec
+            << "  fresh  " << std::setprecision(0) << before.msgs_per_sec
             << " msgs/s, " << std::setprecision(2) << before.allocs_per_step
             << " allocs/step, " << std::setprecision(0)
             << before.bytes_per_step << " bytes/step\n"
-            << "  wheel  " << after.msgs_per_sec << " msgs/s, "
+            << "  pooled " << after.msgs_per_sec << " msgs/s, "
             << std::setprecision(2) << after.allocs_per_step
             << " allocs/step, " << std::setprecision(0)
             << after.bytes_per_step << " bytes/step\n"
@@ -282,28 +280,28 @@ int main(int argc, char** argv) {
   std::ofstream f(out);
   DTM_CHECK(f.good(), "cannot open " << out << " for writing");
   f << std::fixed;
-  f << "{\n  \"schema\": \"dtm-bench-memory-v1\",\n";
+  f << "{\n  \"schema\": \"dtm-bench-memory-v2\",\n";
   f << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   f << "  \"alloc_tracking\": "
     << (alloc_tracking_enabled() ? "true" : "false") << ",\n";
   f << "  \"metric\": \"bus: messages/sec and allocs per step through the "
-       "frozen pre-wheel heap bus (fresh drain vector, fresh reply buffers) "
-       "vs the wheel bus (persistent scratch + reply pool) replaying "
-       "identical traffic; end_to_end: dist-bucket steps/sec, best of "
+       "wheel bus drained fresh (fresh drain vector, fresh reply buffers) "
+       "vs pooled (persistent scratch + reply pool) replaying identical "
+       "traffic; end_to_end: dist-bucket steps/sec, best of "
     << e2e_reps << " reps\",\n";
   f << "  \"bus\": {\"network\": \"line-" << kBusNodes
     << "\", \"sends_per_step\": " << kSendsPerStep
     << ", \"steps\": " << bus_steps << ", \"warmup\": " << warmup
     << ", \"delivered\": " << after.delivered << ",\n"
-    << "    \"heap_msgs_per_sec\": " << std::setprecision(1)
+    << "    \"fresh_msgs_per_sec\": " << std::setprecision(1)
     << before.msgs_per_sec
-    << ", \"wheel_msgs_per_sec\": " << after.msgs_per_sec
+    << ", \"pooled_msgs_per_sec\": " << after.msgs_per_sec
     << ", \"speedup\": " << std::setprecision(3) << speedup << ",\n"
-    << "    \"heap_allocs_per_step\": " << before.allocs_per_step
-    << ", \"wheel_allocs_per_step\": " << after.allocs_per_step
-    << ", \"heap_bytes_per_step\": " << std::setprecision(1)
+    << "    \"fresh_allocs_per_step\": " << before.allocs_per_step
+    << ", \"pooled_allocs_per_step\": " << after.allocs_per_step
+    << ", \"fresh_bytes_per_step\": " << std::setprecision(1)
     << before.bytes_per_step
-    << ", \"wheel_bytes_per_step\": " << after.bytes_per_step << "},\n";
+    << ", \"pooled_bytes_per_step\": " << after.bytes_per_step << "},\n";
   f << "  \"end_to_end\": [\n";
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     const EndToEnd& r = e2e[i];

@@ -16,9 +16,8 @@
 // counter. The one new constraint the wheel adds: deliveries cannot be
 // scheduled before a time the bus has already drained past. The protocol
 // always satisfies this (sends happen at the current step, drains are
-// monotone), and deliver_at enforces it. ReferenceHeapBus below preserves
-// the original heap implementation as the equivalence-fuzz oracle and the
-// before/after microbench baseline.
+// monotone), and deliver_at enforces it. The original heap implementation
+// lives on in tests/ref/ as the equivalence-fuzz oracle.
 //
 // FaultyBus is the chaos decorator: it keeps the same queue/drain machinery
 // but perturbs each send according to a FaultPlan — dropping, duplicating,
@@ -29,7 +28,6 @@
 // the no-fault path, which keeps it literally unchanged.
 #pragma once
 
-#include <queue>
 #include <variant>
 #include <vector>
 
@@ -135,41 +133,6 @@ class MessageBus : public EventSource {
   std::int64_t seq_ = 0;
   std::int64_t sent_ = 0;
   std::int64_t distance_ = 0;
-};
-
-/// The pre-wheel MessageBus, frozen: an allocating (deliver, seq)
-/// std::priority_queue popped one message at a time. Kept as the oracle for
-/// the wheel-equivalence fuzz suite and as the "before" side of
-/// bench_memory's bus microbench — not used by any scheduler.
-class ReferenceHeapBus : public EventSource {
- public:
-  explicit ReferenceHeapBus(const DistanceOracle& oracle) : oracle_(&oracle) {}
-  ~ReferenceHeapBus() override = default;
-
-  void send(NodeId from, NodeId to, Time now, Payload payload);
-  void drain_into(Time now, std::vector<Message>& out);
-  [[nodiscard]] Time next_delivery() const;
-  [[nodiscard]] Time next_event_time() const override {
-    return next_delivery();
-  }
-  [[nodiscard]] std::int64_t messages_sent() const { return sent_; }
-
- protected:
-  void deliver_at(NodeId from, NodeId to, Time sent, Time deliver,
-                  Payload payload);
-
- private:
-  struct Later {
-    bool operator()(const Message& a, const Message& b) const {
-      if (a.deliver != b.deliver) return a.deliver > b.deliver;
-      return a.seq > b.seq;
-    }
-  };
-
-  const DistanceOracle* oracle_;
-  std::priority_queue<Message, std::vector<Message>, Later> queue_;
-  std::int64_t seq_ = 0;
-  std::int64_t sent_ = 0;
 };
 
 /// What the decorator did to the traffic, for the chaos bench and tests.

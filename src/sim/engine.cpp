@@ -18,15 +18,6 @@ SyncEngine::SyncEngine(std::shared_ptr<const DistanceOracle> oracle,
   DTM_REQUIRE(opts_.latency_factor >= 1,
               "latency factor " << opts_.latency_factor);
   DTM_REQUIRE(opts_.threads >= 0, "engine threads " << opts_.threads);
-  if (opts_.mode == Mode::kVerifyParallel) {
-    // Same oracle, same origins, same fault plan — only the bookkeeping
-    // differs: the twin runs the plain serial calendar path, so every
-    // lockstep divergence indicts the parallel sharding.
-    Options twin = opts_;
-    twin.mode = Mode::kCalendar;
-    twin.threads = 1;
-    shadow_ = std::make_unique<SyncEngine>(oracle_, store_.origins(), twin);
-  }
 }
 
 const ObjectState& SyncEngine::object(ObjId o) const {
@@ -67,7 +58,6 @@ void SyncEngine::begin_step(std::span<const Transaction> arrivals) {
                   "txn " << t.id << " requests unknown object " << a.obj);
     store_.add_live(t);
   }
-  if (shadow_) shadow_->begin_step(arrivals);
 }
 
 void SyncEngine::apply(std::span<const Assignment> assignments) {
@@ -82,23 +72,21 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
     DTM_REQUIRE(a.exec >= now, "txn " << a.txn << " scheduled in the past ("
                                       << a.exec << " < " << now << ")");
     it->second.exec = a.exec;
-    if (opts_.mode != Mode::kScan) {
-      clock_.schedule(a.exec, a.txn);
-      for (const auto& acc : it->second.txn.accesses) {
-        auto& e = store_.obj_entry(acc.obj);
-        // A fresh entry can only lower the cached min; an empty heap means
-        // no live scheduled user existed, so the entry IS the min (see the
-        // ObjEntry invariant).
-        const bool was_empty = e.sched.empty();
-        e.sched.emplace(a.exec, a.txn);
-        if (was_empty ||
-            (e.best_user != kNoTxn &&
-             (a.exec < e.best_exec ||
-              (a.exec == e.best_exec && a.txn < e.best_user)))) {
-          e.best_user = a.txn;
-          e.best_exec = a.exec;
-          e.best_node = it->second.txn.node;
-        }
+    clock_.schedule(a.exec, a.txn);
+    for (const auto& acc : it->second.txn.accesses) {
+      auto& e = store_.obj_entry(acc.obj);
+      // A fresh entry can only lower the cached min; an empty heap means no
+      // live scheduled user existed, so the entry IS the min (see the
+      // ObjEntry invariant).
+      const bool was_empty = e.sched.empty();
+      e.sched.emplace(a.exec, a.txn);
+      if (was_empty ||
+          (e.best_user != kNoTxn &&
+           (a.exec < e.best_exec ||
+            (a.exec == e.best_exec && a.txn < e.best_user)))) {
+        e.best_user = a.txn;
+        e.best_exec = a.exec;
+        e.best_node = it->second.txn.node;
       }
     }
   }
@@ -110,39 +98,16 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
     for (const auto& acc : live.at(a.txn).txn.accesses)
       reroute_scratch_.push_back(acc.obj);
   transport_->reroute_many(reroute_scratch_, now);
-  if (shadow_) shadow_->apply(assignments);
 }
 
 std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
-  const Mode mode = opts_.mode;
   const Time now = clock_.now();
   auto& live = store_.live();
   due_scratch_.clear();
   transport_->settle_arrivals(now);
-  if (mode == Mode::kScan) {
-    for (const auto& [id, lt] : live) {
-      DTM_CHECK(lt.exec == kNoTime || lt.exec >= now,
-                "txn " << id << " missed its execution step " << lt.exec
-                       << " (now " << now << ")");
-      if (lt.exec == now) due_scratch_.push_back(id);
-    }
-  } else {
-    // Equal-time entries pop in ascending id order — the same order the
-    // scan derives from the live map's sorted iteration.
-    clock_.pop_due(due_scratch_);
-    if (mode == Mode::kVerify) {
-      transport_->verify_settled(now);
-      std::vector<TxnId> scan_due;
-      for (const auto& [id, lt] : live) {
-        DTM_CHECK(lt.exec == kNoTime || lt.exec >= now,
-                  "txn " << id << " missed its execution step " << lt.exec
-                         << " (now " << now << ")");
-        if (lt.exec == now) scan_due.push_back(id);
-      }
-      DTM_CHECK(scan_due == due_scratch_,
-                "calendar due set diverges from scan at step " << now);
-    }
-  }
+  // Equal-time entries pop in ascending id order; pop_due also asserts no
+  // entry missed its step.
+  clock_.pop_due(due_scratch_);
 
   // Fire everyone due now. Two due transactions sharing an object would be
   // an invalid schedule — the presence check below can only pass for one of
@@ -179,22 +144,6 @@ std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
   // Forward released objects to their next scheduled user.
   transport_->reroute_many(released, now);
   clock_.tick();
-  if (shadow_) {
-    const std::vector<Commit> twin = shadow_->finish_step();
-    DTM_CHECK(twin.size() == commits.size(),
-              "parallel engine committed " << commits.size()
-                                           << " txns at step " << now
-                                           << ", serial twin " << twin.size());
-    for (std::size_t i = 0; i < commits.size(); ++i)
-      DTM_CHECK(commits[i].txn == twin[i].txn &&
-                    commits[i].node == twin[i].node &&
-                    commits[i].gen == twin[i].gen &&
-                    commits[i].exec == twin[i].exec,
-                "parallel engine diverges from serial twin at step "
-                    << now << ": commit " << i << " is txn " << commits[i].txn
-                    << "@" << commits[i].exec << " vs " << twin[i].txn << "@"
-                    << twin[i].exec);
-  }
   return commits;
 }
 
@@ -205,31 +154,6 @@ void SyncEngine::advance_to(Time t) {
   DTM_CHECK(due == kNoTime || due >= t,
             "advance_to(" << t << ") would skip execution at " << due);
   clock_.advance_to(t);
-  if (shadow_) shadow_->advance_to(t);
-}
-
-Time SyncEngine::next_exec_due() const {
-  if (opts_.mode == Mode::kVerifyParallel) {
-    const Time cal = clock_.next_scheduled();
-    DTM_CHECK(cal == shadow_->next_exec_due(),
-              "parallel engine next_exec_due " << cal
-                                               << " diverges from serial twin "
-                                               << shadow_->next_exec_due());
-    return cal;
-  }
-  if (opts_.mode == Mode::kCalendar) return clock_.next_scheduled();
-  Time due = kNoTime;
-  for (const auto& [_, lt] : store_.live()) {
-    if (lt.exec == kNoTime) continue;
-    due = due == kNoTime ? lt.exec : std::min(due, lt.exec);
-  }
-  if (opts_.mode == Mode::kVerify) {
-    const Time cal = clock_.next_scheduled();
-    DTM_CHECK(cal == due, "next_exec_due diverges: calendar "
-                              << cal << " vs scan " << due << " (now "
-                              << clock_.now() << ")");
-  }
-  return due;
 }
 
 }  // namespace dtm

@@ -16,25 +16,18 @@
 // present, which makes the simulation an end-to-end feasibility check of
 // the scheduler's decisions.
 //
-// Two execution paths implement the per-step bookkeeping:
-//  - kScan (the original): every step settles all objects and scans all
-//    live transactions for due executions — O(objects + live) per step.
-//  - kCalendar (default): the clock's execution-time calendar plus the
-//    transport's object-arrival queue plus per-object scheduled-user
-//    heaps, so an idle step costs O(1) and a busy step costs
-//    O(due * log live). Assignments are irrevocable, so calendar entries
-//    never go stale before they fire.
-// kVerify runs the calendar path while re-deriving every decision with the
-// scan path and asserting equivalence — the debug harness behind the
-// equivalence test suite.
+// The per-step bookkeeping is event driven: the clock's execution-time
+// calendar, the transport's object-arrival queue, and per-object
+// scheduled-user heaps, so an idle step costs O(1) and a busy step costs
+// O(due * log live). Assignments are irrevocable, so calendar entries never
+// go stale before they fire. A full-scan reference engine lives in
+// tests/ref/ and the differential suites step it in lockstep with this one.
 //
 // With EngineOptions::threads > 1 the reroute fan-outs of apply() and
 // finish_step() run sharded across the process-wide ThreadPool (object
 // ownership by dense index, per-worker settle buffers merged after the
 // barrier — ARCHITECTURE.md §8); commit sequences stay byte-identical at
-// every thread count. kVerifyParallel is the corresponding debug harness:
-// it steps a serial calendar twin engine in lockstep and cross-checks the
-// commit stream of every step.
+// every thread count.
 #pragma once
 
 #include <memory>
@@ -52,7 +45,6 @@ namespace dtm {
 class SyncEngine final : public SystemView {
  public:
   using Options = EngineOptions;
-  using Mode = EngineOptions::Mode;
 
   SyncEngine(std::shared_ptr<const DistanceOracle> oracle,
              std::vector<ObjectOrigin> origins, Options opts = {});
@@ -99,8 +91,8 @@ class SyncEngine final : public SystemView {
   void advance_to(Time t);
 
   /// Earliest execution time among scheduled live transactions, kNoTime if
-  /// none. The Runner never skips past this. O(1) in calendar mode.
-  [[nodiscard]] Time next_exec_due() const;
+  /// none. The Runner never skips past this.
+  [[nodiscard]] Time next_exec_due() const { return clock_.next_scheduled(); }
 
   [[nodiscard]] bool all_done() const { return store_.live().empty(); }
   [[nodiscard]] std::int64_t num_live() const {
@@ -118,7 +110,6 @@ class SyncEngine final : public SystemView {
   /// normally afterwards; only post-hoc consumers of the full history
   /// (validate_schedule, the runner's metrics) must not drain mid-run.
   [[nodiscard]] std::vector<ScheduledTxn> take_committed() {
-    if (shadow_) (void)shadow_->take_committed();  // keep the twin bounded
     return store_.take_committed();
   }
 
@@ -128,7 +119,6 @@ class SyncEngine final : public SystemView {
   void set_fault(const FaultPlan& plan) {
     opts_.fault = plan;
     transport_->set_fault(plan);
-    if (shadow_) shadow_->set_fault(plan);
   }
   [[nodiscard]] const std::vector<ObjectOrigin>& origins() const {
     return store_.origins();
@@ -146,10 +136,6 @@ class SyncEngine final : public SystemView {
   TxnStore store_;
   std::unique_ptr<ObjectTransport> transport_;
   EventClock clock_;
-
-  /// kVerifyParallel: a serial calendar twin stepped in lockstep; every
-  /// finish_step cross-checks the two commit streams.
-  std::unique_ptr<SyncEngine> shadow_;
 
   std::vector<TxnId> due_scratch_;
   std::vector<ObjId> reroute_scratch_;

@@ -164,15 +164,6 @@ void SpecArgs::finish() const {
 // ---------------------------------------------------------------------------
 // RunSpec <-> JSON
 
-EngineOptions::Mode RunSpec::engine_mode() const {
-  if (mode == "scan") return EngineOptions::Mode::kScan;
-  if (mode == "calendar") return EngineOptions::Mode::kCalendar;
-  if (mode == "verify") return EngineOptions::Mode::kVerify;
-  if (mode == "verify-parallel") return EngineOptions::Mode::kVerifyParallel;
-  throw CheckError("run spec: unknown engine mode '" + mode +
-                   "' (scan | calendar | verify | verify-parallel)");
-}
-
 namespace {
 
 Json spec_to_json(const Spec& s) {
@@ -221,7 +212,6 @@ Json RunSpec::to_json() const {
   o.emplace("fault", spec_to_json(fault));
   o.emplace("serve", spec_to_json(serve));
   o.emplace("stream", spec_to_json(stream));
-  o.emplace("mode", Json(mode));
   o.emplace("latency_factor", Json(latency_factor));
   o.emplace("seed", Json(static_cast<std::int64_t>(seed)));
   o.emplace("trials", Json(trials));
@@ -241,7 +231,6 @@ RunSpec RunSpec::from_json(const Json& j) {
     else if (k == "fault") s.fault = spec_from_json(v, k);
     else if (k == "serve") s.serve = spec_from_json(v, k);
     else if (k == "stream") s.stream = spec_from_json(v, k);
-    else if (k == "mode") s.mode = v.as_string();
     else if (k == "latency_factor") s.latency_factor = v.as_int();
     else if (k == "seed") s.seed = static_cast<std::uint64_t>(v.as_int());
     else if (k == "trials") s.trials = static_cast<std::int32_t>(v.as_int());
@@ -251,7 +240,6 @@ RunSpec RunSpec::from_json(const Json& j) {
     else
       throw CheckError("run spec: unknown key '" + k + "'");
   }
-  (void)s.engine_mode();  // validate the mode string eagerly
   DTM_REQUIRE(s.threads >= 0 && s.threads <= 1024,
               "run spec: threads must be in [0, 1024], got " << s.threads);
   return s;
@@ -732,7 +720,6 @@ RunResult run_spec(const RunSpec& spec, bool collect_schedule) {
   auto sched =
       Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
   RunOptions opts;
-  opts.engine.mode = spec.engine_mode();
   opts.engine.latency_factor = spec.latency_factor;
   opts.engine.fault = fault;
   opts.engine.threads = spec.threads;
@@ -754,7 +741,6 @@ TrialSummary run_spec_trials(const RunSpec& spec) {
     auto sched =
         Registry::make_scheduler(spec.scheduler, net, &fault, spec.threads);
     RunOptions opts;
-    opts.engine.mode = spec.engine_mode();
     opts.engine.latency_factor = spec.latency_factor;
     opts.engine.fault = fault;
     opts.engine.threads = spec.threads;

@@ -39,8 +39,9 @@ class TxnStore {
   /// when the cached transaction commits (the only event that can remove
   /// the min — any other commit removes a non-minimal user), and the
   /// transport refreshes it from the heap when it is unset. An empty heap
-  /// implies an unset cache, so the O(1) hit path needs no staleness check;
-  /// kVerify cross-checks every lookup against the linear scan.
+  /// implies an unset cache, so the O(1) hit path needs no staleness check.
+  /// The scan oracle in tests/ref/ re-derives every target by a linear scan
+  /// over `users`, and the differential suites compare the two.
   struct ObjEntry {
     ObjId id = kNoObj;
     ObjectState state;

@@ -6,32 +6,15 @@
 
 namespace dtm {
 
-TxnId SyncObjectTransport::reroute_target_scan(
-    const TxnStore::ObjEntry& e) const {
-  const auto& live = store_->live();
-  TxnId best = kNoTxn;
-  Time best_exec = kNoTime;
-  for (const TxnId uid : e.users) {
-    const Time ex = live.at(uid).exec;
-    if (ex == kNoTime) continue;
-    if (best == kNoTxn || ex < best_exec ||
-        (ex == best_exec && uid < best)) {
-      best = uid;
-      best_exec = ex;
-    }
-  }
-  return best;
-}
-
-TxnId SyncObjectTransport::reroute_target_calendar(TxnStore::ObjEntry& e) {
+TxnId SyncObjectTransport::reroute_target(TxnStore::ObjEntry& e) {
   // O(1) hit path: the cache, when set, IS the min (exec, id) over live
   // scheduled users (maintained by the engine on assignment and cleared by
   // the store when the cached transaction commits — see ObjEntry).
   if (e.best_user != kNoTxn) return e.best_user;
   // Miss: re-derive from the heap. Entries go stale only when their
   // transaction commits (assignments are irrevocable), so the first live
-  // top is the earliest scheduled user — the (exec, id) heap order
-  // reproduces the scan's tie-break exactly — and it refills the cache.
+  // top is the earliest scheduled user — ties broken by id through the
+  // (exec, id) heap order — and it refills the cache.
   while (!e.sched.empty()) {
     const auto [exec, uid] = e.sched.top();
     const auto it = store_->live().find(uid);
@@ -52,40 +35,22 @@ void SyncObjectTransport::reroute(ObjId o, Time now) {
 
 void SyncObjectTransport::reroute_impl(TxnStore::ObjEntry& e, Time now,
                                        SettleBuffer* out) {
-  TxnId best = kNoTxn;
-  switch (opts_.mode) {
-    case EngineOptions::Mode::kScan:
-      best = reroute_target_scan(e);
-      break;
-    case EngineOptions::Mode::kCalendar:
-    case EngineOptions::Mode::kVerifyParallel:
-      best = reroute_target_calendar(e);
-      break;
-    case EngineOptions::Mode::kVerify: {
-      best = reroute_target_calendar(e);
-      const TxnId scan = reroute_target_scan(e);
-      DTM_CHECK(best == scan, "reroute(" << e.id << ") diverges: calendar "
-                                         << best << " vs scan " << scan);
-      break;
-    }
-  }
+  const TxnId best = reroute_target(e);
   if (best == kNoTxn) return;
   // Leg signature before routing, to detect a genuinely new/redirected leg.
   const bool was_transit = e.state.in_transit();
   const NodeId old_to = was_transit ? e.state.dest() : kNoNode;
   const Time old_depart = was_transit ? e.state.depart_time() : kNoTime;
   const Time old_arrive = was_transit ? e.state.arrive_time() : kNoTime;
-  // The cache carries the target's node, sparing the live-map lookup on the
-  // hot (calendar) path; the scan path derives best without the cache.
-  const NodeId dest = e.best_user == best ? e.best_node
-                                          : store_->live().at(best).txn.node;
-  e.state.route_to(dest, now, *oracle_, opts_.latency_factor);
+  // reroute_target always leaves the cache holding `best`, so its node
+  // spares the live-map lookup.
+  e.state.route_to(e.best_node, now, *oracle_, opts_.latency_factor);
   if (stalling_ && e.state.in_transit() &&
       (!was_transit || e.state.dest() != old_to ||
        e.state.depart_time() != old_depart ||
        e.state.arrive_time() != old_arrive))
     maybe_stall(e, best);
-  if (opts_.mode != EngineOptions::Mode::kScan && e.state.in_transit()) {
+  if (e.state.in_transit()) {
     if (out != nullptr)
       out->emplace_back(e.state.arrive_time(), store_->obj_index(e));
     else
@@ -134,8 +99,8 @@ void SyncObjectTransport::reroute_many(std::span<const ObjId> objs, Time now) {
 void SyncObjectTransport::maybe_stall(TxnStore::ObjEntry& e, TxnId best) {
   // One draw per fresh leg (no-op reroutes never reach here, so repeated
   // reroutes toward an unchanged target cannot compound stalls). Reroute
-  // order is mode-invariant, so the draw sequence — and hence the whole
-  // simulation — stays identical across kScan/kCalendar/kVerify.
+  // order is fixed by the engine, so the draw sequence — and hence the whole
+  // simulation — is reproducible from the plan alone.
   if (!stall_rng_.bernoulli(opts_.fault.stall)) return;
   // The stall may consume at most the slack before the earliest scheduled
   // user runs: schedules already committed to by ANY policy remain feasible,
@@ -150,33 +115,10 @@ void SyncObjectTransport::maybe_stall(TxnStore::ObjEntry& e, TxnId best) {
 }
 
 void SyncObjectTransport::settle_arrivals(Time now) {
-  if (opts_.mode == EngineOptions::Mode::kScan) {
-    auto& objects = store_->objects();
-    const unsigned par = resolve_threads(opts_.threads);
-    if (par > 1 && objects.size() >= 256) {
-      // Settles touch only their own entry; chunked so workers stream
-      // contiguous cache lines.
-      ThreadPool::shared().run(
-          static_cast<std::int64_t>(objects.size()),
-          [&](std::int64_t i) {
-            objects[static_cast<std::size_t>(i)].state.settle(now);
-          },
-          par);
-    } else {
-      for (auto& e : objects) e.state.settle(now);
-    }
-    return;
-  }
   while (!settle_queue_.empty() && settle_queue_.top().first <= now) {
     store_->obj_at(settle_queue_.top().second).state.settle(now);
     settle_queue_.pop();
   }
-}
-
-void SyncObjectTransport::verify_settled(Time now) const {
-  for (const auto& e : store_->objects())
-    DTM_CHECK(!(e.state.in_transit() && e.state.arrive_time() <= now),
-              "object " << e.id << " missed settlement at step " << now);
 }
 
 }  // namespace dtm

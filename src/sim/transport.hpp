@@ -23,19 +23,11 @@ struct EngineOptions {
   /// the distributed setting of §V).
   std::int64_t latency_factor = 1;
 
-  /// Per-step bookkeeping strategy; identical observable behavior (the
-  /// equivalence tests prove it), different asymptotics. kVerifyParallel
-  /// runs the calendar bookkeeping with the parallel sharded phases while
-  /// stepping a serial calendar twin in lockstep and cross-checking every
-  /// commit (the parallel-kernel debug harness).
-  enum class Mode { kCalendar, kScan, kVerify, kVerifyParallel };
-  Mode mode = Mode::kCalendar;
-
-  /// Worker threads for the sharded step phases (reroute fan-out, scan
-  /// settles): 1 = serial (default), 0 = all hardware threads, N = exactly
-  /// N participants. Every thread count produces byte-identical commit
-  /// sequences — sharding is by object ownership, and per-worker results
-  /// merge in canonical order (ARCHITECTURE.md §8).
+  /// Worker threads for the sharded reroute fan-out: 1 = serial
+  /// (default), 0 = all hardware threads, N = exactly N participants.
+  /// Every thread count produces byte-identical commit sequences —
+  /// sharding is by object ownership, and per-worker results merge in
+  /// canonical order (ARCHITECTURE.md §8).
   std::int32_t threads = 1;
 
   /// Fault-injection plan for the transport's stall hook (and, through the
@@ -62,13 +54,9 @@ class ObjectTransport {
     for (const ObjId o : objs) reroute(o, now);
   }
 
-  /// Materializes every arrival due by `now` (the scan path settles all
-  /// objects; the calendar path drains its settle queue).
+  /// Materializes every arrival due by `now`: afterwards no object is
+  /// still in transit past its arrival time.
   virtual void settle_arrivals(Time now) = 0;
-
-  /// kVerify invariant: no object may still be in transit past its arrival
-  /// time after settle_arrivals.
-  virtual void verify_settled(Time now) const = 0;
 
   /// Live fault-plan swap (serve-mode resilience drills). Transports that
   /// inject faults re-arm their stall hook from the new plan; the default
@@ -78,8 +66,8 @@ class ObjectTransport {
 
 /// The synchronous shortest-path transport: objects move one unit of
 /// distance per latency_factor steps along oracle distances, exactly the
-/// paper's motion model. Mode selects the bookkeeping path (and kVerify
-/// cross-checks the two reroute target derivations against each other).
+/// paper's motion model. Arrivals are materialized from a settle queue, so
+/// a step touches only the objects that move.
 class SyncObjectTransport final : public ObjectTransport {
  public:
   SyncObjectTransport(TxnStore& store, const DistanceOracle& oracle,
@@ -100,7 +88,6 @@ class SyncObjectTransport final : public ObjectTransport {
   /// and chaos golden pins depend on that exact sequence).
   void reroute_many(std::span<const ObjId> objs, Time now) override;
   void settle_arrivals(Time now) override;
-  void verify_settled(Time now) const override;
 
   /// Swaps the stall knobs in place and reseeds the stall stream from the
   /// new plan (site-salted, so toggling to the same plan replays the same
@@ -117,11 +104,9 @@ class SyncObjectTransport final : public ObjectTransport {
   /// parallel reroute phase, merged into settle_queue_ after the barrier.
   using SettleBuffer = std::vector<std::pair<Time, std::int32_t>>;
 
-  /// The seed's linear selection of the earliest scheduled user; kNoTxn
-  /// when none.
-  [[nodiscard]] TxnId reroute_target_scan(const TxnStore::ObjEntry& e) const;
-  /// Heap-based selection (prunes committed users); kNoTxn when none.
-  [[nodiscard]] TxnId reroute_target_calendar(TxnStore::ObjEntry& e);
+  /// The earliest scheduled user (min (exec, id)) from the cache or the
+  /// heap, pruning committed users; kNoTxn when none.
+  [[nodiscard]] TxnId reroute_target(TxnStore::ObjEntry& e);
 
   /// The reroute body. `out == nullptr` pushes settle entries straight into
   /// settle_queue_ (serial path, stall hook armed); non-null buffers them

@@ -49,8 +49,17 @@ class Parser {
 
   Json parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse, so hostile nesting would overflow the stack.
+        DTM_REQUIRE(depth_ < Json::kMaxDepth,
+                    "json: nesting deeper than " << Json::kMaxDepth
+                                                 << " at offset " << pos_);
+        ++depth_;
+        Json v = s_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         DTM_REQUIRE(consume("true"), "json: bad literal at " << pos_);
@@ -192,6 +201,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open containers around pos_
 };
 
 void escape_to(std::ostream& os, const std::string& s) {

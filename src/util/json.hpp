@@ -103,8 +103,9 @@ class Json {
   [[nodiscard]] std::string dump(int indent = -1) const;
 
   /// Strict parser; throws CheckError with the byte offset on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage, or nesting deeper than kMaxDepth.
   [[nodiscard]] static Json parse(const std::string& text);
+  static constexpr int kMaxDepth = 256;
 
   friend bool operator==(const Json&, const Json&) = default;
 

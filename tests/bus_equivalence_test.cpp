@@ -1,11 +1,11 @@
 // Wheel-vs-heap bus equivalence fuzz (PERF.md §8).
 //
 // The wheel-backed MessageBus claims byte-identical (deliver, seq) pop
-// order with the frozen ReferenceHeapBus. These tests drive both with the
-// same random monotone send/drain schedule — mixed payload kinds, equal
-// delivery times forcing seq tie-breaks, and explicit far-future
-// deliveries that overflow the wheel's ring horizon — and assert the
-// drained streams match field-for-field.
+// order with the frozen ReferenceHeapBus (tests/ref/heap_bus.*). These
+// tests drive both with the same random monotone send/drain schedule —
+// mixed payload kinds, equal delivery times forcing seq tie-breaks, and
+// explicit far-future deliveries that overflow the wheel's ring horizon —
+// and assert the drained streams match field-for-field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 
 #include "dist/bus.hpp"
 #include "net/topology.hpp"
+#include "ref/heap_bus.hpp"
 #include "util/rng.hpp"
 #include "util/timing_wheel.hpp"
 

@@ -2,8 +2,9 @@
 // scheduler driven over a FaultyBus. The headline guarantee is liveness —
 // every transaction commits under any loss rate < 1 — backed by per-probe
 // timeouts with exponential backoff, reply/report deduplication, and report
-// retransmission. Chaos is deterministic in (plan, seed) and invariant
-// across the three engine modes, so failures here bisect cleanly.
+// retransmission. Chaos is deterministic in (plan, seed), and the engine
+// agrees step by step with the scan oracle in tests/ref/ under it, so
+// failures here bisect cleanly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include "dist/dist_bucket.hpp"
 #include "fault/plan.hpp"
 #include "net/topology.hpp"
+#include "ref/lockstep.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
@@ -27,9 +29,9 @@ struct ChaosRun {
   FaultBusStats bus;
 };
 
+/// `against_oracle` steps the engine in lockstep with the scan oracle.
 ChaosRun run_dist(const Network& net, const FaultPlan& plan,
-                  std::uint64_t seed,
-                  EngineOptions::Mode mode = EngineOptions::Mode::kCalendar) {
+                  std::uint64_t seed, bool against_oracle = false) {
   SyntheticOptions w;
   w.num_objects = 8;
   w.k = 2;
@@ -42,10 +44,11 @@ ChaosRun run_dist(const Network& net, const FaultPlan& plan,
   DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
                                    o);
   RunOptions opts;
-  opts.engine.mode = mode;
   opts.engine.latency_factor = 2;  // §V half-speed objects
   opts.engine.fault = plan;
-  const RunResult r = run_experiment(net, wl, sched, opts);
+  const RunResult r = against_oracle
+                          ? run_lockstep(net, wl, sched, opts)
+                          : run_experiment(net, wl, sched, opts);
   ChaosRun out{r, sched.stats(), sched.fault_bus_stats() != nullptr, {}};
   if (const FaultBusStats* fb = sched.fault_bus_stats()) out.bus = *fb;
   // Liveness: the workload's whole transaction set committed.
@@ -160,8 +163,10 @@ TEST(ChaosProtocol, ChaosIsDeterministicInPlanAndSeed) {
 }
 
 TEST(ChaosProtocol, CommitStreamInvariantAcrossEngineModes) {
-  // The fault stream is drawn per send in a mode-independent order, so the
-  // chaos run — not just the clean run — is identical in all three modes.
+  // The engine modes compared are the production engine and the scan
+  // oracle. Message faults are drawn per send and transfer stalls per fresh
+  // leg, in the same order in both, so the chaos run — not just the clean
+  // run — agrees step by step, and equals the plain production run.
   const Network net = make_cluster(2, 3, 4);
   FaultPlan p;
   p.drop = 0.3;
@@ -169,13 +174,11 @@ TEST(ChaosProtocol, CommitStreamInvariantAcrossEngineModes) {
   p.dup = 0.1;
   p.stall = 0.3;
   p.seed = 23;
-  const ChaosRun scan = run_dist(net, p, 11, EngineOptions::Mode::kScan);
-  const ChaosRun cal = run_dist(net, p, 11, EngineOptions::Mode::kCalendar);
-  const ChaosRun ver = run_dist(net, p, 11, EngineOptions::Mode::kVerify);
-  expect_same_commits(scan.result, cal.result);
-  expect_same_commits(scan.result, ver.result);
-  EXPECT_EQ(scan.bus.dropped, cal.bus.dropped);
-  EXPECT_EQ(scan.stats.reprobes, cal.stats.reprobes);
+  const ChaosRun oracle = run_dist(net, p, 11, /*against_oracle=*/true);
+  const ChaosRun cal = run_dist(net, p, 11);
+  expect_same_commits(oracle.result, cal.result);
+  EXPECT_EQ(oracle.bus.dropped, cal.bus.dropped);
+  EXPECT_EQ(oracle.stats.reprobes, cal.stats.reprobes);
 }
 
 TEST(ChaosProtocol, DuplicateFloodIsDeduplicated) {

@@ -1,8 +1,8 @@
 // Streaming subsystem tests: arrival-profile shapes (including the
 // (rho, b)-adversary's admissibility property), source determinism, the
-// memory-bounded run loop's zero-loss and drain invariants, cross-mode
-// commit-hash identity over the ring calendar, the batch runner's
-// drain_every path, and the "stream:" spec round-trip.
+// memory-bounded run loop's zero-loss and drain invariants, commit-hash
+// identity with the scan oracle (tests/ref/) over the ring calendar, the
+// batch runner's drain_every path, and the "stream:" spec round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 
 #include "core/greedy_scheduler.hpp"
 #include "net/topology.hpp"
+#include "ref/lockstep.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
@@ -157,16 +158,51 @@ TEST(StreamSource, ValidatesItsConfig) {
 // ---------------------------------------------------------------------------
 // StreamRunner
 
-RunSpec stream_spec(const std::string& topo, const std::string& stream,
-                    const std::string& mode = "calendar") {
+RunSpec stream_spec(const std::string& topo, const std::string& stream) {
   RunSpec spec;
   spec.topology = parse_spec(topo);
   spec.scheduler = parse_spec("greedy");
   spec.stream = parse_spec(stream);
-  spec.mode = mode;
   spec.seed = 77;
   return spec;
 }
+
+/// Replays a stream source the way StreamRunner admits it with no
+/// watermark and no duration: offers in order, fresh ids from 0, stamped
+/// with the current step, until `target` are accepted.
+class StreamReplay final : public Workload {
+ public:
+  StreamReplay(std::unique_ptr<StreamSource> source, std::int64_t target)
+      : source_(std::move(source)), target_(target) {}
+
+  std::vector<ObjectOrigin> objects() override { return source_->objects(); }
+  std::vector<Transaction> arrivals_at(Time now) override {
+    std::vector<Transaction> out;
+    if (finished()) return out;
+    for (Transaction t : source_->offers_at(now)) {
+      if (finished()) break;
+      t.id = static_cast<TxnId>(generated_.size());
+      t.gen_time = now;
+      generated_.push_back(t);
+      out.push_back(std::move(t));
+    }
+    return out;
+  }
+  Time next_arrival_time() const override {
+    return finished() ? kNoTime : source_->next_offer_time();
+  }
+  bool finished() const override {
+    return static_cast<std::int64_t>(generated_.size()) >= target_;
+  }
+  const std::vector<Transaction>& generated() const override {
+    return generated_;
+  }
+
+ private:
+  std::unique_ptr<StreamSource> source_;
+  std::int64_t target_;
+  std::vector<Transaction> generated_;
+};
 
 TEST(StreamRunner, RunsToTargetWithDrainAccounting) {
   const RunSpec spec = stream_spec(
@@ -189,19 +225,30 @@ TEST(StreamRunner, CommitHashIdenticalAcrossEngineModes) {
   const std::string stream =
       "stream:profile=mmpp,rate=2,objects=64,target=1500,window=128,"
       "drain-every=32";
-  const Network net = Registry::make_network(parse_spec("line:n=6"));
-  const StreamReport cal =
-      make_stream_runner(net, stream_spec("line:n=6", stream, "calendar"))
-          ->run();
-  const StreamReport scan =
-      make_stream_runner(net, stream_spec("line:n=6", stream, "scan"))
-          ->run();
-  // Byte-identity across the calendar fast path and the scan reference is
-  // the determinism contract; the FNV commit-stream hash carries it without
-  // retaining a single committed entry.
-  EXPECT_EQ(cal.commit_hash, scan.commit_hash);
-  EXPECT_EQ(cal.commits, scan.commits);
-  EXPECT_EQ(cal.end_time, scan.end_time);
+  const RunSpec spec = stream_spec("line:n=6", stream);
+  const Network net = Registry::make_network(spec.topology);
+  const StreamReport cal = make_stream_runner(net, spec)->run();
+
+  // The engine modes compared are the stream runner's engine and the same
+  // arrivals stepped in lockstep with the scan oracle. Byte-identity is the
+  // determinism contract; the runner's FNV commit-stream hash carries it
+  // without retaining a single committed entry.
+  const StreamConfig cfg = Registry::make_stream_config(spec.stream, spec.seed);
+  StreamReplay replay(make_stream_source(net, cfg), cfg.target);
+  GreedyScheduler greedy;
+  const RunResult scan = run_lockstep(net, replay, greedy);
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const auto& c : scan.committed)
+    for (const std::int64_t v :
+         {std::int64_t{c.txn.id}, std::int64_t{c.txn.node},
+          std::int64_t{c.txn.gen_time}, std::int64_t{c.exec}}) {
+      hash ^= static_cast<std::uint64_t>(v);
+      hash *= 1099511628211ULL;
+    }
+  EXPECT_EQ(cal.commit_hash, hash);
+  EXPECT_EQ(cal.commits, scan.num_txns);
+  EXPECT_EQ(cal.active_steps, scan.active_steps);
+  EXPECT_EQ(cal.end_time, scan.makespan + 1);  // ends after the last commit
 }
 
 TEST(StreamRunner, MaxLiveWatermarkShedsUnderAdversary) {

@@ -1,10 +1,11 @@
-// Tests for util/: checked asserts, RNG, statistics, tables.
+// Tests for util/: checked asserts, RNG, statistics, tables, JSON.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -198,6 +199,32 @@ TEST(Table, RaggedRowRejected) {
 TEST(Table, AddBeforeRowRejected) {
   Table t({"a"});
   EXPECT_THROW((void)t.add(1), CheckError);
+}
+
+TEST(Json, DeepNestingIsACleanError) {
+  // A spec file of 200 000 '[' used to overflow the parser's stack.
+  for (const std::string open : {"[", "{\"a\":"}) {
+    std::string doc;
+    for (int i = 0; i < 200000; ++i) doc += open;
+    try {
+      (void)Json::parse(doc);
+      ADD_FAILURE() << "deep nesting was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Json, NestingUpToTheCapParses) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const Json j = Json::parse(nested(Json::kMaxDepth));
+  EXPECT_TRUE(j.is_array());
+  EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1)), CheckError);
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ std::string control_command(DtmServer& server, const std::string& line,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string spec_file, topology, scheduler, fault, serve, mode, lf;
+  std::string spec_file, topology, scheduler, fault, serve, lf;
   std::string socket_path, metrics_out, report_out, pace;
   bool dump_spec = false, print_windows = false;
 
@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   cli.add_value("serve",
                 "service shape, e.g. serve:rate=6,duration=8192,admit-rate=8",
                 &serve);
-  cli.add_value("mode", "engine mode: scan | calendar | verify", &mode);
   cli.add_value("lf", "latency factor (steps per unit distance)", &lf);
   cli.add_value("socket", "AF_UNIX control socket path (stats/fault/drain)",
                 &socket_path);
@@ -128,12 +127,10 @@ int main(int argc, char** argv) {
     if (!scheduler.empty()) spec.scheduler = parse_spec(scheduler);
     if (!fault.empty()) spec.fault = parse_spec(fault);
     if (!serve.empty()) spec.serve = parse_spec(serve);
-    if (!mode.empty()) spec.mode = mode;
     if (!lf.empty()) spec.latency_factor = std::stoll(lf);
     spec.seed = cli.seed(spec.seed);
     if (spec.scheduler.kind == "dist-bucket" && spec.latency_factor < 2)
       spec.latency_factor = 2;
-    (void)spec.engine_mode();  // validate eagerly
 
     if (dump_spec) {
       std::cout << spec.to_json().dump(2) << "\n";

@@ -39,7 +39,7 @@ Json load_json_file(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string spec_file, topology, scheduler, fault, stream, mode, lf;
+  std::string spec_file, topology, scheduler, fault, stream, lf;
   std::string report_out;
   bool dump_spec = false;
 
@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   cli.add_value("stream",
                 "run shape, e.g. stream:profile=mmpp,rate=4,target=100000",
                 &stream);
-  cli.add_value("mode", "engine mode: scan | calendar | verify", &mode);
   cli.add_value("lf", "latency factor (steps per unit distance)", &lf);
   cli.add_value("report", "write the final StreamReport JSON here (default "
                 "stdout)",
@@ -73,13 +72,11 @@ int main(int argc, char** argv) {
     if (!scheduler.empty()) spec.scheduler = parse_spec(scheduler);
     if (!fault.empty()) spec.fault = parse_spec(fault);
     if (!stream.empty()) spec.stream = parse_spec(stream);
-    if (!mode.empty()) spec.mode = mode;
     if (!lf.empty()) spec.latency_factor = std::stoll(lf);
     spec.seed = cli.seed(spec.seed);
     spec.threads = cli.threads(spec.threads);
     if (spec.scheduler.kind == "dist-bucket" && spec.latency_factor < 2)
       spec.latency_factor = 2;
-    (void)spec.engine_mode();  // validate eagerly
 
     if (dump_spec) {
       std::cout << spec.to_json().dump(2) << "\n";
