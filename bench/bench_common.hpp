@@ -11,9 +11,15 @@
 // bench's built-in defaults in every run_trials call.
 #pragma once
 
+#include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "sim/cli.hpp"
 #include "sim/trials.hpp"
@@ -67,6 +73,35 @@ inline bool bench_init(int argc, char** argv, const std::string& name,
                        const std::string& what) {
   Cli cli(name, what);
   return bench_init(cli, argc, argv);
+}
+
+/// Peak resident set (VmHWM) in kilobytes since the last reset_peak_rss();
+/// 0 where /proc is unavailable.
+inline std::int64_t peak_rss_kb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      std::istringstream is(line.substr(6));
+      std::int64_t kb = 0;
+      is >> kb;
+      return kb;
+    }
+  }
+  return 0;
+}
+
+/// Lowers the peak-RSS mark to the current RSS, so the next peak_rss_kb()
+/// measures what ran in between rather than the process-wide high-water
+/// mark left by an earlier point. Call it before each measured point. Free
+/// heap pages are handed back first: the mark can only drop to the current
+/// RSS, and an earlier point's freed memory would otherwise stay resident.
+inline void reset_peak_rss() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+  std::ofstream f("/proc/self/clear_refs");
+  if (f) f << "5";
 }
 
 /// Runs `trials` independent seeds of (network, workload-options, scheduler

@@ -4,7 +4,8 @@
 //
 //   headline   one sustained run to a large committed-transaction target
 //              (1M full / 50k quick) on a clique — commits/sec, peak
-//              committed-log and calendar occupancy, peak RSS (VmHWM)
+//              committed-log and calendar occupancy, peak RSS (VmHWM,
+//              reset before every point, so each point reports its own)
 //   landmark   a large random graph (50k nodes full / 4k quick) routed by
 //              the landmark oracle — no O(n^2) APSP is ever built; the
 //              point records the router's memory and query mix
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "sim/cli.hpp"
 #include "sim/registry.hpp"
 #include "stream/stream_runner.hpp"
@@ -39,23 +41,6 @@ namespace {
 
 using namespace dtm;
 using Clock = std::chrono::steady_clock;
-
-/// Peak resident set (VmHWM) in kilobytes; 0 where /proc is unavailable.
-std::int64_t peak_rss_kb() {
-#ifdef __linux__
-  std::ifstream f("/proc/self/status");
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::int64_t kb = 0;
-      is >> kb;
-      return kb;
-    }
-  }
-#endif
-  return 0;
-}
 
 struct Point {
   std::string section;
@@ -76,6 +61,7 @@ Point run_point(const std::string& section, const std::string& topology,
   spec.seed = seed;
   spec.threads = threads;
 
+  bench::reset_peak_rss();
   const Network net = Registry::make_network(spec.topology);
   const auto t0 = Clock::now();
   StreamReport r = make_stream_runner(net, spec)->run();
@@ -96,7 +82,7 @@ Point run_point(const std::string& section, const std::string& topology,
   p.topo = topology;
   p.stream = stream;
   p.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  p.rss_kb = peak_rss_kb();
+  p.rss_kb = bench::peak_rss_kb();
   p.r = std::move(r);
   return p;
 }

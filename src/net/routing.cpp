@@ -1,6 +1,7 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <queue>
 
@@ -170,60 +171,172 @@ std::int32_t default_num_landmarks(NodeId n) {
   return std::clamp(l, 1, 64);
 }
 
+/// Query counters are shared by every thread querying one router.
+void bump(std::int64_t& counter) {
+  std::atomic_ref<std::int64_t>(counter).fetch_add(1,
+                                                   std::memory_order_relaxed);
+}
+
+/// The calling thread's ALT search state. Labels are generation-stamped, so
+/// a search touches only the nodes it reaches; the arrays grow to the
+/// largest graph this thread has searched and are shared by every router.
+struct AltScratch {
+  struct Item {
+    Weight f;  ///< g + h
+    Weight g;
+    NodeId x;
+  };
+  std::vector<std::uint32_t> stamp;
+  std::vector<Weight> g;
+  std::vector<Weight> h;
+  std::vector<NodeId> parent;
+  std::vector<Item> heap;
+  std::uint32_t gen = 0;
+
+  void begin(NodeId n) {
+    const auto nn = static_cast<std::size_t>(n);
+    if (stamp.size() < nn) {
+      stamp.assign(nn, 0);
+      g.resize(nn);
+      h.resize(nn);
+      parent.resize(nn);
+      gen = 0;
+    }
+    if (++gen == 0) {
+      std::fill(stamp.begin(), stamp.end(), 0);
+      gen = 1;
+    }
+    heap.clear();
+  }
+  [[nodiscard]] bool reached(NodeId x) const {
+    return stamp[static_cast<std::size_t>(x)] == gen;
+  }
+};
+
+AltScratch& alt_scratch() {
+  thread_local AltScratch s;
+  return s;
+}
+
+/// Heap order: smallest f first; among equal f, the deeper label (larger
+/// g) first, which settles the target sooner on tie-heavy graphs; then the
+/// smaller node id, so the search is deterministic.
+bool later(const AltScratch::Item& a, const AltScratch::Item& b) {
+  if (a.f != b.f) return a.f > b.f;
+  if (a.g != b.g) return a.g < b.g;
+  return a.x > b.x;
+}
+
 }  // namespace
 
 LandmarkRouter::LandmarkRouter(const Graph& g, LandmarkOptions opts)
-    : n_(g.num_nodes()), intra_(g, opts.intra_cache) {
-  // intra_'s constructor already checked connectivity.
+    : graph_(&g), n_(g.num_nodes()) {
   std::int32_t want = opts.num_landmarks > 0 ? opts.num_landmarks
                                              : default_num_landmarks(n_);
   want = std::min(want, static_cast<std::int32_t>(n_));
   const auto nn = static_cast<std::size_t>(n_);
-  ldist_.resize(static_cast<std::size_t>(want) * nn);
-  lhop_.resize(static_cast<std::size_t>(want) * nn);
+  const auto kL = static_cast<std::size_t>(want);
+  ldist_.resize(nn * kL);
+  lhop_.resize(nn * kL);
 
   // Greedy farthest-point selection: node 0 seeds; each subsequent landmark
   // is the node maximizing distance to the chosen set (ties: smaller id).
+  // Edge weights are positive and want <= n, so that node is never already
+  // a landmark. SSSP rows are buffered kBlock at a time and scattered into
+  // the node-major tables together, so each node's entries are written a
+  // cache line at a time rather than one strided store per landmark.
+  constexpr std::size_t kBlock = 8;
   std::vector<Weight> mindist(nn, kInfWeight);
-  for (std::int32_t i = 0; i < want; ++i) {
+  std::vector<Weight> drows(kBlock * nn);
+  std::vector<NodeId> hrows(kBlock * nn);
+  for (std::size_t l = 0; l < kL; ++l) {
     NodeId next = 0;
-    if (i > 0) {
-      Weight best = -1;
-      for (NodeId v = 0; v < n_; ++v) {
-        const Weight d = mindist[static_cast<std::size_t>(v)];
-        if (d > best) {
-          best = d;
-          next = v;
-        }
+    Weight best = -1;
+    for (NodeId v = 0; l > 0 && v < n_; ++v) {
+      if (mindist[static_cast<std::size_t>(v)] > best) {
+        best = mindist[static_cast<std::size_t>(v)];
+        next = v;
       }
-      if (best == 0) break;  // every node IS a landmark already
     }
     landmarks_.push_back(next);
-    Weight* drow = ldist_.data() + static_cast<std::size_t>(i) * nn;
-    NodeId* hrow = lhop_.data() + static_cast<std::size_t>(i) * nn;
-    sssp_with_hops(g, next, drow, hrow);
+    const std::size_t j = l % kBlock;
+    Weight* drow = drows.data() + j * nn;
+    sssp_with_hops(g, next, drow, hrows.data() + j * nn);
+    DTM_CHECK(l > 0 || std::find(drow, drow + nn, kInfWeight) == drow + nn,
+              "landmark router requires a connected graph");
     for (std::size_t v = 0; v < nn; ++v)
       mindist[v] = std::min(mindist[v], drow[v]);
+    if (j + 1 == kBlock || l + 1 == kL) {
+      const std::size_t base = l - j;
+      for (std::size_t v = 0; v < nn; ++v)
+        for (std::size_t k = 0; k <= j; ++k) {
+          ldist_[v * kL + base + k] = drows[k * nn + v];
+          lhop_[v * kL + base + k] = hrows[k * nn + v];
+        }
+    }
   }
-  const auto kL = static_cast<std::int32_t>(landmarks_.size());
-  ldist_.resize(static_cast<std::size_t>(kL) * nn);
-  lhop_.resize(static_cast<std::size_t>(kL) * nn);
 
   // Home-cluster assignment (nearest landmark, ties toward the smaller
   // landmark index) and the metric bounds.
   home_.assign(nn, 0);
-  diameter_bound_ = kInfWeight;
-  for (std::int32_t l = 0; l < kL; ++l) {
-    const Weight* drow = ldist(l);
-    Weight ecc = 0;
-    for (std::size_t v = 0; v < nn; ++v) {
-      ecc = std::max(ecc, drow[v]);
-      if (drow[v] < ldist(home_[v])[v]) home_[v] = l;
+  std::vector<Weight> ecc(kL, 0);
+  for (NodeId v = 0; v < n_; ++v) {
+    const Weight* row = ldist(v);
+    auto& hv = home_[static_cast<std::size_t>(v)];
+    for (std::size_t l = 0; l < kL; ++l) {
+      ecc[l] = std::max(ecc[l], row[l]);
+      if (row[l] < row[hv]) hv = static_cast<std::int32_t>(l);
     }
-    diameter_bound_ = std::min(diameter_bound_, 2 * ecc);
+    radius_ = std::max(radius_, row[hv]);
   }
-  for (std::size_t v = 0; v < nn; ++v)
-    radius_ = std::max(radius_, ldist(home_[v])[v]);
+  diameter_bound_ = 2 * *std::min_element(ecc.begin(), ecc.end());
+}
+
+Weight LandmarkRouter::alt_search(NodeId u, NodeId v) const {
+  bump(stats_.intra_queries);
+  bump(searches_.misses);
+  AltScratch& s = alt_scratch();
+  s.begin(n_);
+  const std::size_t kL = stride();
+  const Weight* target = ldist(v);
+  // h(x) = max_l |d(l,x) - d(l,v)| is a consistent lower bound on
+  // dist(x, v), so the first time v is popped its label is exact.
+  const auto reach = [&](NodeId x) {
+    const Weight* row = ldist(x);
+    Weight h = 0;
+    for (std::size_t l = 0; l < kL; ++l) {
+      const Weight d = row[l] - target[l];
+      h = std::max(h, d < 0 ? -d : d);
+    }
+    const auto xi = static_cast<std::size_t>(x);
+    s.stamp[xi] = s.gen;
+    s.g[xi] = kInfWeight;
+    s.h[xi] = h;
+  };
+  reach(u);
+  s.g[static_cast<std::size_t>(u)] = 0;
+  s.parent[static_cast<std::size_t>(u)] = u;
+  s.heap.push_back({s.h[static_cast<std::size_t>(u)], 0, u});
+  while (!s.heap.empty()) {
+    std::pop_heap(s.heap.begin(), s.heap.end(), later);
+    const AltScratch::Item it = s.heap.back();
+    s.heap.pop_back();
+    if (it.g > s.g[static_cast<std::size_t>(it.x)]) continue;  // stale
+    if (it.x == v) return it.g;
+    for (const auto& e : graph_->neighbors(it.x)) {
+      if (!s.reached(e.to)) reach(e.to);
+      const auto yi = static_cast<std::size_t>(e.to);
+      const Weight nd = it.g + e.weight;
+      if (nd < s.g[yi]) {
+        s.g[yi] = nd;
+        s.parent[yi] = it.x;
+        s.heap.push_back({nd + s.h[yi], nd, e.to});
+        std::push_heap(s.heap.begin(), s.heap.end(), later);
+      }
+    }
+  }
+  DTM_CHECK(false, "ALT search " << u << " -> " << v << " never settled");
+  return kInfWeight;
 }
 
 Weight LandmarkRouter::dist(NodeId u, NodeId v) const {
@@ -231,44 +344,32 @@ Weight LandmarkRouter::dist(NodeId u, NodeId v) const {
               "dist(" << u << "," << v << ")");
   if (u == v) return 0;
   if (home_[static_cast<std::size_t>(u)] ==
-      home_[static_cast<std::size_t>(v)]) {
-    ++stats_.intra_queries;
-    return intra_.dist(u, v);
-  }
-  ++stats_.inter_queries;
+      home_[static_cast<std::size_t>(v)])
+    return alt_search(u, v);
+  bump(stats_.inter_queries);
+  const Weight* du = ldist(u);
+  const Weight* dv = ldist(v);
   Weight best = kInfWeight;
-  const auto kL = num_landmarks();
-  for (std::int32_t l = 0; l < kL; ++l) {
-    const Weight* drow = ldist(l);
-    best = std::min(best, drow[static_cast<std::size_t>(u)] +
-                              drow[static_cast<std::size_t>(v)]);
-  }
+  for (std::size_t l = 0; l < stride(); ++l)
+    best = std::min(best, du[l] + dv[l]);
   return best;
 }
 
 std::int32_t LandmarkRouter::best_landmark(NodeId u, NodeId v) const {
-  std::int32_t bl = 0;
-  Weight best = kInfWeight;
-  const auto kL = num_landmarks();
-  for (std::int32_t l = 0; l < kL; ++l) {
-    const Weight* drow = ldist(l);
-    const Weight d = drow[static_cast<std::size_t>(u)] +
-                     drow[static_cast<std::size_t>(v)];
-    if (d < best) {
-      best = d;
-      bl = l;
-    }
-  }
-  return bl;
+  const Weight* du = ldist(u);
+  const Weight* dv = ldist(v);
+  std::size_t bl = 0;
+  for (std::size_t l = 1; l < stride(); ++l)
+    if (du[l] + dv[l] < du[bl] + dv[bl]) bl = l;
+  return static_cast<std::int32_t>(bl);
 }
 
 std::vector<NodeId> LandmarkRouter::walk_to_landmark(NodeId u,
                                                      std::int32_t l) const {
-  const NodeId* hrow = lhop(l);
   const NodeId lm = landmarks_[static_cast<std::size_t>(l)];
   std::vector<NodeId> p{u};
   while (u != lm) {
-    u = hrow[static_cast<std::size_t>(u)];
+    u = lhop(u)[l];
     p.push_back(u);
     DTM_CHECK(p.size() <= static_cast<std::size_t>(n_) + 1,
               "landmark tree loop between " << p.front() << " and " << lm);
@@ -282,10 +383,17 @@ std::vector<NodeId> LandmarkRouter::path(NodeId u, NodeId v) const {
   if (u == v) return {u};
   if (home_[static_cast<std::size_t>(u)] ==
       home_[static_cast<std::size_t>(v)]) {
-    ++stats_.intra_queries;
-    return intra_.path(u, v);
+    (void)alt_search(u, v);
+    const std::vector<NodeId>& parent = alt_scratch().parent;
+    std::vector<NodeId> p{v};
+    for (NodeId x = v; x != u;) {
+      x = parent[static_cast<std::size_t>(x)];
+      p.push_back(x);
+    }
+    std::reverse(p.begin(), p.end());
+    return p;
   }
-  ++stats_.inter_queries;
+  bump(stats_.inter_queries);
   const std::int32_t l = best_landmark(u, v);
   std::vector<NodeId> p = walk_to_landmark(u, l);       // u ... landmark
   const std::vector<NodeId> back = walk_to_landmark(v, l);  // v ... landmark
@@ -302,27 +410,27 @@ std::vector<NodeId> LandmarkRouter::path(NodeId u, NodeId v) const {
 }
 
 NodeId LandmarkRouter::next_hop(NodeId u, NodeId v) const {
-  if (u == v) return u;
-  if (home_[static_cast<std::size_t>(u)] ==
-      home_[static_cast<std::size_t>(v)]) {
-    ++stats_.intra_queries;
-    return intra_.next_hop(u, v);
-  }
-  return path(u, v)[1];
+  return u == v ? u : path(u, v)[1];
 }
 
 Weight LandmarkRouter::path_weight(const std::vector<NodeId>& p) const {
   DTM_REQUIRE(!p.empty(), "path_weight on empty path");
   Weight total = 0;
-  for (std::size_t i = 1; i < p.size(); ++i)
-    total += intra_.edge_weight(p[i - 1], p[i]);
+  for (std::size_t i = 1; i < p.size(); ++i) {
+    Weight w = kInfWeight;
+    for (const auto& e : graph_->neighbors(p[i - 1]))
+      if (e.to == p[i]) w = std::min(w, e.weight);
+    DTM_CHECK(w < kInfWeight,
+              "nodes " << p[i - 1] << " and " << p[i] << " are not adjacent");
+    total += w;
+  }
   return total;
 }
 
 std::size_t LandmarkRouter::memory_bytes() const {
   return ldist_.size() * sizeof(Weight) + lhop_.size() * sizeof(NodeId) +
          home_.size() * sizeof(std::int32_t) +
-         landmarks_.size() * sizeof(NodeId) + intra_.memory_bytes();
+         landmarks_.size() * sizeof(NodeId);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +456,7 @@ Weight LandmarkOracle::dist(NodeId u, NodeId v) const {
 }
 
 void LandmarkOracle::check(NodeId u, NodeId v, Weight d) const {
-  ++vstats_.dist_checks;
+  bump(vstats_.dist_checks);
   const Weight e = exact_->dist(u, v);
   DTM_CHECK(d >= e, "landmark dist(" << u << "," << v << ") = " << d
                                      << " below exact " << e);
@@ -359,7 +467,11 @@ void LandmarkOracle::check(NodeId u, NodeId v, Weight d) const {
   }
   const double stretch =
       static_cast<double>(d) / static_cast<double>(e);
-  vstats_.max_stretch_seen = std::max(vstats_.max_stretch_seen, stretch);
+  std::atomic_ref<double> seen(vstats_.max_stretch_seen);
+  double cur = seen.load(std::memory_order_relaxed);
+  while (stretch > cur &&
+         !seen.compare_exchange_weak(cur, stretch, std::memory_order_relaxed)) {
+  }
   DTM_CHECK(stretch <= max_stretch_ + 1e-9,
             "landmark stretch " << stretch << " for (" << u << "," << v
                                 << ") exceeds bound " << max_stretch_);

@@ -14,15 +14,16 @@
 //
 // LandmarkRouter scales past even the lazy table: L landmark nodes (greedy
 // farthest-point, deterministic) each carry one SSSP tree (dist + next-hop
-// toward the landmark, O(L * n) memory total); every node is assigned to
-// its nearest landmark's cluster. Same-cluster queries use exact global
-// shortest paths through a shared LRU RoutingTable (cluster-local
-// destinations are few and hot, so the cache stays small); cross-cluster
-// queries answer d'(u,v) = min_l dist(u,l) + dist(l,v) with the realized
-// route u -> l* -> v stitched from the two SSSP trees (backtracking
-// trimmed, so the walk only gets shorter than the reported distance). This
-// is the fog-cloud hierarchical shape of Adhikari/Busch/Poudel (PAPERS.md):
-// exact within a cluster, via-landmark between clusters, stretch bounded in
+// toward the landmark, O(L * n) memory total, stored node-major so one
+// node's L entries are contiguous); every node is assigned to its nearest
+// landmark's cluster. Same-cluster queries run an exact point-to-point ALT
+// search (A* with the landmark triangle bound, Goldberg & Harrelson, SODA
+// 2005) that stops when the target is settled; cross-cluster queries answer
+// d'(u,v) = min_l dist(u,l) + dist(l,v) with the realized route
+// u -> l* -> v stitched from the two SSSP trees (backtracking trimmed, so
+// the walk only gets shorter than the reported distance). This is the
+// fog-cloud hierarchical shape of Adhikari/Busch/Poudel (PAPERS.md): exact
+// within a cluster, via-landmark between clusters, stretch bounded in
 // practice by the cluster radii.
 //
 // LandmarkOracle adapts the router to the engine's DistanceOracle seam
@@ -34,7 +35,10 @@
 // graphs; landmark mode drops the exact oracle entirely, which is what lets
 // 50k+-node random graphs run without the O(n^2) APSP wall.
 //
-// Not thread-safe: queries mutate caches. Give each thread its own table.
+// RoutingTable is not thread-safe: queries mutate its cache. LandmarkRouter
+// queries are: the ALT search keeps its labels in per-thread scratch and
+// the query counters are updated atomically, so pool workers may share one
+// router (SyncObjectTransport::reroute_many does).
 #pragma once
 
 #include <cstddef>
@@ -129,8 +133,6 @@ enum class RoutingMode : std::uint8_t {
 struct LandmarkOptions {
   /// Landmark count; 0 = ceil(sqrt(n)) clamped to [1, 64].
   std::int32_t num_landmarks = 0;
-  /// LRU bound for the shared intra-cluster exact RoutingTable.
-  std::size_t intra_cache = 64;
 };
 
 class LandmarkRouter {
@@ -144,16 +146,17 @@ class LandmarkRouter {
   /// min_l dist(u,l) + dist(l,v) otherwise. Always >= the true distance.
   [[nodiscard]] Weight dist(NodeId u, NodeId v) const;
 
-  /// A valid walk u -> ... -> v realizing at most dist(u, v): exact
-  /// shortest path within a cluster, the (trimmed) stitched tree walk
-  /// through the best landmark across clusters.
+  /// A valid walk u -> ... -> v realizing at most dist(u, v): the ALT
+  /// search's shortest path within a cluster, the (trimmed) stitched tree
+  /// walk through the best landmark across clusters.
   [[nodiscard]] std::vector<NodeId> path(NodeId u, NodeId v) const;
 
   /// First hop of path(u, v) (u itself when u == v).
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId v) const;
 
-  /// Sum of edge weights along `p`, asserting every consecutive pair is
-  /// adjacent — the walk-validity check verify mode runs.
+  /// Sum of edge weights along `p` (the lightest of parallel edges),
+  /// asserting every consecutive pair is adjacent — the walk-validity check
+  /// verify mode runs.
   [[nodiscard]] Weight path_weight(const std::vector<NodeId>& p) const;
 
   [[nodiscard]] NodeId num_nodes() const { return n_; }
@@ -178,38 +181,47 @@ class LandmarkRouter {
     std::int64_t inter_queries = 0;  ///< via-landmark answers
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// Same-cluster search counters in the RoutingTable cache shape: `misses`
+  /// counts ALT searches (one per same-cluster dist/path/next_hop query);
+  /// `hits` and `evictions` are always 0, since nothing is cached. Read
+  /// these while no query runs (counters are bumped atomically, read
+  /// plainly).
   [[nodiscard]] const RoutingTable::CacheStats& intra_cache_stats() const {
-    return intra_.cache_stats();
+    return searches_;
   }
-  [[nodiscard]] const RoutingTable& intra_table() const { return intra_; }
-  /// Bytes held by the landmark tables plus the resident intra tables.
+  /// Bytes held by the landmark tables.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  /// Row pointers into the L x n landmark tables.
-  [[nodiscard]] const Weight* ldist(std::int32_t l) const {
-    return ldist_.data() + static_cast<std::size_t>(l) *
-                               static_cast<std::size_t>(n_);
+  /// Node v's L landmark entries: ldist(v)[l] = dist(landmark l, v),
+  /// lhop(v)[l] = v's next hop toward landmark l.
+  [[nodiscard]] const Weight* ldist(NodeId v) const {
+    return ldist_.data() + static_cast<std::size_t>(v) * stride();
   }
-  [[nodiscard]] const NodeId* lhop(std::int32_t l) const {
-    return lhop_.data() + static_cast<std::size_t>(l) *
-                              static_cast<std::size_t>(n_);
+  [[nodiscard]] const NodeId* lhop(NodeId v) const {
+    return lhop_.data() + static_cast<std::size_t>(v) * stride();
   }
+  [[nodiscard]] std::size_t stride() const { return landmarks_.size(); }
   /// argmin_l dist(u,l) + dist(l,v), ties toward the smaller index.
   [[nodiscard]] std::int32_t best_landmark(NodeId u, NodeId v) const;
   /// Tree walk u -> ... -> landmark(l) along l's SSSP next-hops.
   [[nodiscard]] std::vector<NodeId> walk_to_landmark(NodeId u,
                                                      std::int32_t l) const;
+  /// Exact point-to-point ALT search u -> v over the calling thread's
+  /// scratch; returns dist(u, v) and leaves the search's parent pointers
+  /// there for path().
+  Weight alt_search(NodeId u, NodeId v) const;
 
+  const Graph* graph_;
   NodeId n_;
   std::vector<NodeId> landmarks_;
-  std::vector<Weight> ldist_;       ///< row-major L x n
-  std::vector<NodeId> lhop_;        ///< row-major L x n
+  std::vector<Weight> ldist_;       ///< node-major n x L
+  std::vector<NodeId> lhop_;        ///< node-major n x L
   std::vector<std::int32_t> home_;  ///< n: landmark index
   Weight radius_ = 0;
   Weight diameter_bound_ = 0;
-  RoutingTable intra_;
   mutable Stats stats_;
+  mutable RoutingTable::CacheStats searches_;
 };
 
 /// DistanceOracle adapter over a LandmarkRouter. Owns a copy of the graph

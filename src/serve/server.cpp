@@ -193,7 +193,7 @@ void DtmServer::register_metrics() {
     return Json(std::move(o));
   });
   // Routing: exact oracles have no live counters; landmark/verify oracles
-  // expose cluster-query mix, the intra-cluster cache's hit rate, and (in
+  // expose cluster-query mix, the intra-cluster search count, and (in
   // verify mode) the stretch evidence — so `dtm_serve stats` shows what the
   // hierarchical routing layer is actually doing under load.
   if (const auto* lm =
@@ -210,15 +210,8 @@ void DtmServer::register_metrics() {
       const auto& qs = lm->router().stats();
       o.emplace("intra_queries", Json(qs.intra_queries));
       o.emplace("inter_queries", Json(qs.inter_queries));
-      const auto& cs = lm->router().intra_cache_stats();
-      o.emplace("cache_hits", Json(cs.hits));
-      o.emplace("cache_misses", Json(cs.misses));
-      o.emplace("cache_evictions", Json(cs.evictions));
-      o.emplace("cache_hit_rate",
-                Json(cs.hits + cs.misses > 0
-                         ? static_cast<double>(cs.hits) /
-                               static_cast<double>(cs.hits + cs.misses)
-                         : 0.0));
+      o.emplace("intra_searches",
+                Json(lm->router().intra_cache_stats().misses));
       o.emplace("memory_bytes",
                 Json(static_cast<std::int64_t>(
                     lm->router().memory_bytes())));

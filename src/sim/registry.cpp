@@ -262,7 +262,7 @@ const std::vector<Registry::Entry>& Registry::topologies() {
       {"tree", "branching=2,depth=3"},
       {"random", "n=12,extra=12,maxw=3,seed=7 (connected random graph)"},
       {"(any)",
-       "routing=exact|landmark|verify,landmarks=0,stretch=3,routing-cache=64"
+       "routing=exact|landmark|verify,landmarks=0,stretch=3"
        " (landmark oracle over any topology; verify cross-checks stretch)"},
   };
   return kEntries;
@@ -497,8 +497,6 @@ Network Registry::make_network(const Spec& spec) {
   LandmarkOptions lopts;
   lopts.num_landmarks =
       static_cast<std::int32_t>(a.integer("landmarks", 0));
-  lopts.intra_cache =
-      static_cast<std::size_t>(a.integer("routing-cache", 64));
   const double max_stretch = a.real("stretch", 3.0);
   if (a.kind() == "random" && routing == RoutingMode::kLandmark) {
     // Graph-only build: same construction + rng stream as

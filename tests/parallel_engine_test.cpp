@@ -16,11 +16,13 @@
 #include "core/greedy_scheduler.hpp"
 #include "dist/dist_bucket.hpp"
 #include "fault/plan.hpp"
+#include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "ref/lockstep.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
+#include "stream/stream_runner.hpp"
 #include "util/parallel.hpp"
 
 namespace dtm {
@@ -268,6 +270,66 @@ TEST(ParallelEngine, RunSpecThreadsDriveTheWholeStack) {
     spec.threads = t;
     EXPECT_EQ(hash_result(run_spec(spec)), serial) << "threads " << t;
   }
+}
+
+TEST(ParallelEngine, LandmarkRoutingCommitHashInvariantAcrossThreads) {
+  // The engine's reroute shards call the landmark oracle from pool
+  // workers, so same-cluster searches run concurrently on one router.
+  // Direct check first: with one landmark every pair is same-cluster, and
+  // the workers sweep one shared pair list (hundreds of destinations) from
+  // different offsets; each must see the answers a private router gives,
+  // and no query may be lost from the shared counters. Verify mode runs
+  // its per-query check on the same workers.
+  const Network net = Registry::make_network(parse_spec(
+      "random:n=400,extra=800,maxw=3,routing=verify,landmarks=1"));
+  const auto& shared = dynamic_cast<const LandmarkOracle&>(*net.oracle);
+  const LandmarkRouter serial(net.graph, {.num_landmarks = 1});
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (std::int64_t i = 0; pairs.size() < 4096; ++i) {
+    const auto u = static_cast<NodeId>((i * 7919) % 400);
+    const auto v = static_cast<NodeId>((i * 104729 + 13) % 400);
+    if (u != v) pairs.emplace_back(u, v);
+  }
+  constexpr std::int64_t kWorkers = 4;
+  const std::int64_t searches = shared.router().intra_cache_stats().misses;
+  const std::int64_t checks = shared.verify_stats().dist_checks;
+  std::vector<std::vector<Weight>> got(kWorkers,
+                                       std::vector<Weight>(pairs.size()));
+  ThreadPool::shared().run(
+      kWorkers,
+      [&](std::int64_t w) {
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          const std::size_t i =
+              (k + static_cast<std::size_t>(w) * pairs.size() / kWorkers) %
+              pairs.size();
+          got[static_cast<std::size_t>(w)][i] =
+              shared.dist(pairs[i].first, pairs[i].second);
+        }
+      },
+      kWorkers, 1);
+  for (std::size_t w = 0; w < got.size(); ++w)
+    for (std::size_t i = 0; i < pairs.size(); ++i)
+      ASSERT_EQ(got[w][i], serial.dist(pairs[i].first, pairs[i].second))
+          << "worker " << w << " pair " << pairs[i].first << ","
+          << pairs[i].second;
+  const auto queries = kWorkers * static_cast<std::int64_t>(pairs.size());
+  EXPECT_EQ(shared.router().intra_cache_stats().misses, searches + queries);
+  EXPECT_EQ(shared.verify_stats().dist_checks, checks + queries);
+  EXPECT_EQ(shared.verify_stats().max_stretch_seen, 1.0);
+
+  // End to end: the commit stream at 4 threads is the serial one, pinned.
+  RunSpec spec;
+  spec.topology =
+      parse_spec("random:n=3000,extra=6000,maxw=3,routing=landmark");
+  spec.scheduler = parse_spec("greedy");
+  spec.stream =
+      parse_spec("stream:rate=4,objects=64,k=3,zipf=0.9,target=3000");
+  spec.seed = 3;
+  spec.threads = 4;
+  const Network big = Registry::make_network(spec.topology);
+  const StreamReport r = make_stream_runner(big, spec)->run();
+  EXPECT_EQ(r.commits, 3000);
+  EXPECT_EQ(r.commit_hash, 17488683464883499505ULL);
 }
 
 }  // namespace

@@ -69,6 +69,20 @@ TEST(Registry, UnknownKindIsHardError) {
   EXPECT_THROW((void)Registry::make_batch_algo("bogus", net), CheckError);
 }
 
+TEST(Registry, RoutingCacheKnobIsAnUnknownParameter) {
+  // Same-cluster landmark queries cache nothing, so the old cache bound is
+  // a typo like any other.
+  try {
+    (void)Registry::make_network(parse_spec(
+        "random:n=50,extra=70,routing=landmark,routing-cache=64"));
+    ADD_FAILURE() << "routing-cache was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown parameter(s): routing-cache"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Registry, EnumerationsMatchFactories) {
   // Every advertised name must construct on a topology-appropriate network.
   EXPECT_FALSE(Registry::topologies().empty());

@@ -145,6 +145,7 @@ TEST(Routing, DisconnectedGraphRejectedAtConstruction) {
   g.add_edge(0, 1, 1);
   g.add_edge(2, 3, 1);
   EXPECT_THROW((void)RoutingTable(g), CheckError);
+  EXPECT_THROW((void)LandmarkRouter(g), CheckError);
 }
 
 // ---------------------------------------------------------------------------
@@ -175,17 +176,52 @@ TEST(Landmark, PathsAreValidWalksNoLongerThanReportedDist) {
 }
 
 TEST(Landmark, SameClusterPairsAnswerExactly) {
-  Rng rng(9);
-  const Network net = make_random_connected(30, 45, 3, rng);
-  const LandmarkRouter lr(net.graph);
-  std::int64_t same_cluster = 0;
-  for (NodeId u = 0; u < net.num_nodes(); ++u)
-    for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      if (lr.home(u) != lr.home(v)) continue;
-      ++same_cluster;
-      EXPECT_EQ(lr.dist(u, v), net.dist(u, v));
+  // Differential check of the same-cluster ALT search against the APSP
+  // oracle: unit weights (tie-heavy) and wider weights, one cluster, the
+  // default landmark count, and every node a landmark.
+  for (const Weight maxw : {1, 3, 7}) {
+    for (const std::uint64_t seed : {9u, 21u}) {
+      Rng rng(seed);
+      const Network net = make_random_connected(40, 70, maxw, rng);
+      const NodeId n = net.num_nodes();
+      for (const std::int32_t landmarks : {1, 0, n}) {
+        SCOPED_TRACE(testing::Message() << "maxw " << maxw << " seed " << seed
+                                        << " landmarks " << landmarks);
+        LandmarkOptions opts;
+        opts.num_landmarks = landmarks;
+        const LandmarkRouter lr(net.graph, opts);
+        std::int64_t same_cluster = 0;
+        for (NodeId u = 0; u < n; ++u)
+          for (NodeId v = 0; v < n; ++v) {
+            if (lr.home(u) != lr.home(v)) {
+              // With every node a landmark, via-landmark is exact too.
+              if (landmarks == n) {
+                EXPECT_EQ(lr.dist(u, v), net.dist(u, v));
+              }
+              continue;
+            }
+            if (u != v) ++same_cluster;
+            const Weight d = lr.dist(u, v);
+            ASSERT_EQ(d, net.dist(u, v)) << u << " -> " << v;
+            const auto p = lr.path(u, v);
+            ASSERT_FALSE(p.empty());
+            EXPECT_EQ(p.front(), u);
+            EXPECT_EQ(p.back(), v);
+            EXPECT_EQ(lr.path_weight(p), d);  // asserts adjacency per hop
+            if (u != v) {
+              EXPECT_EQ(lr.next_hop(u, v), p[1]);
+            }
+          }
+        if (landmarks != n) {
+          EXPECT_GT(same_cluster, 0);
+        }
+        // Every same-cluster query above ran one search; nothing is cached.
+        EXPECT_EQ(lr.intra_cache_stats().misses, lr.stats().intra_queries);
+        EXPECT_EQ(lr.intra_cache_stats().hits, 0);
+        EXPECT_EQ(lr.intra_cache_stats().evictions, 0);
+      }
     }
-  EXPECT_GT(same_cluster, 0);
+  }
 }
 
 TEST(Landmark, DeterministicAcrossConstructions) {
