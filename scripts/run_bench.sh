@@ -2,15 +2,15 @@
 # Builds Release and runs one of the JSON-emitting benchmark harnesses
 # (docs/PERF.md, docs/EXPERIMENTS.md).
 # Usage: scripts/run_bench.sh [--quick] [--bench NAME] [build-dir] [out-json]
-#   NAME is the harness suffix: bucket_fastpath (default), chaos, serve,
-#   parallel, simd, stream, memory, ... — anything with a
+#   NAME is the harness suffix: stream (default), chaos, serve,
+#   parallel, memory, ... — anything with a
 #   bench/bench_NAME.cpp that takes --out.
 #   For bench_memory's allocs/step columns, point build-dir at a tree
 #   configured with -DDTM_ALLOC_TRACK=ON (docs/EXPERIMENTS.md F20).
 set -euo pipefail
 
 QUICK=""
-BENCH="bucket_fastpath"
+BENCH="stream"
 while [ $# -gt 0 ]; do
   case "$1" in
     --quick) QUICK="--quick"; shift ;;

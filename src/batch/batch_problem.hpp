@@ -14,35 +14,8 @@
 #include "core/scheduler.hpp"
 #include "core/types.hpp"
 #include "net/graph.hpp"
-#include "util/batch_math.hpp"
 
 namespace dtm {
-
-class BatchProblemSoA;  // batch/soa_problem.hpp
-
-/// Non-owning reference to a prebuilt SoA view of THIS problem's content
-/// (set by owners that amortize one build over many evaluations, e.g. the
-/// bucket insertion core's activation retries). Deliberately NOT propagated
-/// by copy or copy-assignment: a copy's content is usually about to
-/// diverge, and a stale view silently corrupting schedules is worse than a
-/// redundant rebuild. Owners that mutate a problem in place must clear it.
-class SoaRef {
- public:
-  SoaRef() = default;
-  SoaRef(const SoaRef&) noexcept {}
-  SoaRef& operator=(const SoaRef&) noexcept {
-    ptr_ = nullptr;
-    return *this;
-  }
-  SoaRef& operator=(const BatchProblemSoA* p) noexcept {
-    ptr_ = p;
-    return *this;
-  }
-  [[nodiscard]] const BatchProblemSoA* get() const { return ptr_; }
-
- private:
-  const BatchProblemSoA* ptr_ = nullptr;
-};
 
 /// Availability of one object: free at `node` from time `ready` on. `ready`
 /// already accounts for any pinned (already-scheduled) user of the object.
@@ -68,14 +41,6 @@ struct BatchProblem {
   Time now = 0;  ///< schedule times must be >= now
   std::vector<BatchObject> objects;
   std::vector<BatchTxn> txns;
-  /// Math path for every consumer of this problem (chain evaluation,
-  /// coloring, local search). Not part of the problem CONTENT: excluded
-  /// from problem_fingerprint, and all modes produce byte-identical
-  /// schedules (golden-pinned).
-  BatchMathMode math = BatchMathMode::kScalar;
-  /// Optional prebuilt SoA view (see SoaRef). Consumers fall back to a
-  /// thread-local build when unset.
-  SoaRef soa;
 
   [[nodiscard]] Time travel(NodeId u, NodeId v) const {
     return latency_factor * oracle->dist(u, v);

@@ -4,31 +4,7 @@
 #include <map>
 #include <numeric>
 
-#include "batch/soa_problem.hpp"
-
 namespace dtm {
-
-namespace {
-
-/// Cross-check two results element-wise (same assignment order expected —
-/// both paths emit in visiting order).
-void check_results_equal(const BatchResult& soa, const BatchResult& ref,
-                         const char* what) {
-  DTM_CHECK(soa.makespan == ref.makespan && soa.assignments.size() ==
-                                                ref.assignments.size(),
-            "" << what << ": SoA makespan " << soa.makespan << " vs scalar "
-               << ref.makespan);
-  for (std::size_t i = 0; i < soa.assignments.size(); ++i)
-    DTM_CHECK(soa.assignments[i].txn == ref.assignments[i].txn &&
-                  soa.assignments[i].exec == ref.assignments[i].exec,
-              "" << what << ": assignment " << i << " diverged (txn "
-                 << soa.assignments[i].txn << " exec "
-                 << soa.assignments[i].exec << " vs txn "
-                 << ref.assignments[i].txn << " exec "
-                 << ref.assignments[i].exec << ")");
-}
-
-}  // namespace
 
 Time estimate_fa(const BatchScheduler& a, const BatchProblem& p, Rng& rng) {
   if (p.txns.empty()) {
@@ -51,27 +27,6 @@ Time estimate_fa(const BatchScheduler& a, const BatchProblem& p, Rng& rng) {
 BatchResult chain_evaluate(const BatchProblem& p,
                            const std::vector<std::size_t>& order,
                            bool validate) {
-  if (p.math == BatchMathMode::kScalar)
-    return chain_evaluate_scalar(p, order, validate);
-  // SoA path: use the owner's prebuilt view when present, else build into
-  // a thread-local scratch (one-shot callers like OrderedChainBatch).
-  static thread_local BatchProblemSoA scratch;
-  const BatchProblemSoA* s = p.soa.get();
-  if (s == nullptr || !s->matches(p)) {
-    scratch.build(p);
-    s = &scratch;
-  }
-  BatchResult r = chain_evaluate_soa(p, *s, order);
-  if (p.math == BatchMathMode::kVerify)
-    check_results_equal(r, chain_evaluate_scalar(p, order, /*validate=*/false),
-                        "chain_evaluate");
-  if (validate) check_batch_result(p, r);
-  return r;
-}
-
-BatchResult chain_evaluate_scalar(const BatchProblem& p,
-                                  const std::vector<std::size_t>& order,
-                                  bool validate) {
   DTM_REQUIRE(order.size() == p.txns.size(),
               "order size " << order.size() << " != " << p.txns.size());
   struct Cursor {

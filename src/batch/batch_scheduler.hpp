@@ -47,20 +47,9 @@ class BatchScheduler {
 /// by every ordering-based scheduler; exposed for tests. `validate` runs
 /// check_batch_result on the output — search loops that evaluate many
 /// candidate orders and validate only the winner pass false.
-///
-/// Dispatches on p.math: kScalar runs the sorted-cursor reference below;
-/// kSoA evaluates through the structure-of-arrays view (p.soa when the
-/// owner prebuilt one, a thread-local build otherwise); kVerify runs both
-/// and cross-checks assignment-for-assignment. All modes are byte-equal.
 [[nodiscard]] BatchResult chain_evaluate(const BatchProblem& p,
                                          const std::vector<std::size_t>& order,
                                          bool validate = true);
-
-/// The scalar reference path of chain_evaluate, independent of p.math.
-/// Exposed for the verify cross-check, soa_test, and bench_simd.
-[[nodiscard]] BatchResult chain_evaluate_scalar(
-    const BatchProblem& p, const std::vector<std::size_t>& order,
-    bool validate = true);
 
 /// A batch scheduler defined by an ordering policy over the problem's
 /// transactions. The policy returns a permutation of indices into p.txns.

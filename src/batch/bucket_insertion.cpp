@@ -62,18 +62,16 @@ Time estimate_fa_seeded(const BatchScheduler& a, const BatchProblem& p,
   return estimate_fa(a, p, rng);
 }
 
+std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp) {
+  return derive_seed(seed, kProbeSalt, fp);
+}
+
 BucketInsertionCore::BucketInsertionCore(
-    std::shared_ptr<const BatchScheduler> algo, BucketFastPath path,
-    std::uint64_t seed, std::int32_t threads, BatchMathMode math)
-    : algo_(std::move(algo)),
-      path_(path),
-      seed_(seed),
-      threads_(threads),
-      math_(math) {
+    std::shared_ptr<const BatchScheduler> algo, std::uint64_t seed,
+    std::int32_t threads, Audit* audit)
+    : algo_(std::move(algo)), seed_(seed), threads_(threads), audit_(audit) {
   DTM_REQUIRE(algo_ != nullptr, "bucket insertion core needs a batch algo");
   DTM_REQUIRE(threads_ >= 0, "bucket insertion threads " << threads_);
-  scratch_.math = math_;
-  run_scratch_.math = math_;
 }
 
 void BucketInsertionCore::make_candidate(const SystemView& view,
@@ -102,12 +100,6 @@ void BucketInsertionCore::make_candidate(const SystemView& view,
                                   view.latency_factor());
 }
 
-BucketInsertionCore::CachedBucket& BucketInsertionCore::cached(BucketId id) {
-  CachedBucket& cb = cache_[id];
-  cb.p.math = math_;  // freshly default-constructed entries start kScalar
-  return cb;
-}
-
 void BucketInsertionCore::ensure_fresh(const SystemView& view,
                                        CachedBucket& cb,
                                        const ExtraAssignments& extra) {
@@ -124,46 +116,20 @@ void BucketInsertionCore::ensure_fresh(const SystemView& view,
   cb.at_world = world_;
 }
 
-Time BucketInsertionCore::estimate(BatchProblem& p, std::uint64_t fp,
-                                   bool use_memo) {
+Time BucketInsertionCore::estimate(const BatchProblem& p, std::uint64_t fp) {
   ++stats_.probes;
   last_memo_hit_ = false;
-  if (use_memo) {
-    const auto it = memo_.find(fp);
-    if (it != memo_.end()) {
-      ++stats_.memo_hits;
-      last_memo_hit_ = true;
-      return it->second;
-    }
+  const auto it = memo_.find(fp);
+  if (it != memo_.end()) {
+    ++stats_.memo_hits;
+    last_memo_hit_ = true;
+    return it->second;
   }
   ++stats_.estimates;
-  // On the SoA paths, amortize one view build across everything the A run
-  // evaluates (the memo made estimate() the only place a probe problem is
-  // actually scheduled, so this is the batched-estimator seam).
-  const bool attach = math_ != BatchMathMode::kScalar && !p.txns.empty() &&
-                      p.soa.get() == nullptr;
-  if (attach) {
-    probe_soa_.build(p);
-    p.soa = &probe_soa_;
-  }
-  const Time f =
-      estimate_fa_seeded(*algo_, p, derive_seed(seed_, kProbeSalt, fp));
-  if (attach) p.soa = nullptr;  // p outlives probe_soa_'s next rebuild
-  if (use_memo) {
-    if (memo_.size() >= kMemoCap) memo_.clear();
-    memo_.emplace(fp, f);
-  }
+  const Time f = estimate_fa_seeded(*algo_, p, probe_seed(seed_, fp));
+  if (memo_.size() >= kMemoCap) memo_.clear();
+  memo_.emplace(fp, f);
   return f;
-}
-
-Time BucketInsertionCore::probe_naive(const SystemView& view,
-                                      std::span<const TxnId> members,
-                                      const Candidate& cand,
-                                      const ExtraAssignments& extra,
-                                      bool use_memo) {
-  ++stats_.rebuilds;
-  builder_.build(view, members, cand.id, extra, scratch_);
-  return estimate(scratch_, problem_fingerprint(scratch_), use_memo);
 }
 
 Time BucketInsertionCore::probe_cached(const SystemView& view,
@@ -193,7 +159,7 @@ Time BucketInsertionCore::probe_cached(const SystemView& view,
     avail_fp = avail_chain(avail_fp, o, cb.p.now);
   const std::uint64_t fp = finish_fp(hash_combine(cb.txn_fp, cand.row_hash),
                                      avail_fp, cb.p.latency_factor);
-  const Time f = estimate(cb.p, fp, /*use_memo=*/true);
+  const Time f = estimate(cb.p, fp);
 
   // Rollback, highest position first (recorded positions are strictly
   // increasing, so later erases cannot shift earlier ones).
@@ -214,36 +180,27 @@ std::int32_t BucketInsertionCore::choose_level(const SystemView& view,
   make_candidate(view, t, extra, cand_);
   last_lb_ = cand_.lb;
 
-  const bool fast = path_ != BucketFastPath::kNaive;
-  std::int32_t start = 0;
-  if (fast) {
-    // Every feasible schedule of B_i ∪ {t} executes t no earlier than LB,
-    // and estimate_fa majorizes the availability horizon, so all levels
-    // with 2^i < LB fail the F_A test — skipping them is exact, not a
-    // heuristic (kVerify re-checks below; bucket_fastpath_test asserts it
-    // on randomized workloads).
-    start = std::min(cand_.lb <= 1 ? 0 : ceil_log2_i64(cand_.lb), top);
-    stats_.levels_skipped += start;
-  }
+  // Every feasible schedule of B_i ∪ {t} executes t no earlier than LB,
+  // and estimate_fa majorizes the availability horizon, so all levels with
+  // 2^i < LB fail the F_A test — skipping them is exact, not a heuristic
+  // (the reference scan in tests/ref re-checks it on randomized workloads).
+  const std::int32_t start =
+      std::min(cand_.lb <= 1 ? 0 : ceil_log2_i64(cand_.lb), top);
+  stats_.levels_skipped += start;
 
   std::int32_t chosen = top;  // over-horizon tail parks in the top bucket
   const unsigned par = resolve_threads(threads_);
-  if (path_ == BucketFastPath::kIncremental && par > 1 && start < top) {
+  if (par > 1 && start < top) {
     chosen = choose_level_waves(view, start, top, levels, extra, par);
   } else {
     for (std::int32_t i = start; i <= top; ++i) {
       const LevelView lv = levels(i);
-      Time f;
-      if (fast) {
-        CachedBucket& cb = cached(lv.id);
-        DTM_CHECK(cb.p.txns.size() == lv.members.size(),
-                  "bucket cache out of sync at level "
-                      << i << ": " << cb.p.txns.size() << " cached vs "
-                      << lv.members.size() << " members");
-        f = probe_cached(view, cb, cand_, extra);
-      } else {
-        f = probe_naive(view, lv.members, cand_, extra, /*use_memo=*/false);
-      }
+      CachedBucket& cb = cache_[lv.id];
+      DTM_CHECK(cb.p.txns.size() == lv.members.size(),
+                "bucket cache out of sync at level "
+                    << i << ": " << cb.p.txns.size() << " cached vs "
+                    << lv.members.size() << " members");
+      const Time f = probe_cached(view, cb, cand_, extra);
       last_scan_.push_back({i, f, last_memo_hit_});
       if (f <= (Time{1} << i)) {
         chosen = i;
@@ -251,25 +208,7 @@ std::int32_t BucketInsertionCore::choose_level(const SystemView& view,
       }
     }
   }
-
-  if (path_ == BucketFastPath::kVerify) {
-    // Cross-check against the paper-verbatim scan from level 0 (memo
-    // bypassed so the estimates are recomputed from scratch).
-    ++stats_.verify_checks;
-    std::int32_t naive = top;
-    for (std::int32_t i = 0; i <= top; ++i) {
-      const Time f = probe_naive(view, levels(i).members, cand_, extra,
-                                 /*use_memo=*/false);
-      if (f <= (Time{1} << i)) {
-        naive = i;
-        break;
-      }
-    }
-    DTM_CHECK(naive == chosen,
-              "bucket fast path diverged: naive scan chose level "
-                  << naive << ", incremental chose " << chosen << " for txn "
-                  << t.id << " (lb=" << cand_.lb << ")");
-  }
+  if (audit_ != nullptr) audit_->on_level(view, t, top, levels, extra, chosen);
   return chosen;
 }
 
@@ -292,7 +231,7 @@ std::int32_t BucketInsertionCore::choose_level_waves(
     for (std::size_t j = 0; j < n; ++j) {
       const std::int32_t i = lo + static_cast<std::int32_t>(j);
       const LevelView lv = levels(i);
-      CachedBucket& cb = cached(lv.id);
+      CachedBucket& cb = cache_[lv.id];
       DTM_CHECK(cb.p.txns.size() == lv.members.size(),
                 "bucket cache out of sync at level "
                     << i << ": " << cb.p.txns.size() << " cached vs "
@@ -303,9 +242,6 @@ std::int32_t BucketInsertionCore::choose_level_waves(
       s.p.oracle = cb.p.oracle;
       s.p.latency_factor = cb.p.latency_factor;
       s.p.now = cb.p.now;
-      s.p.math = cb.p.math;
-      s.p.soa = nullptr;  // slot problems persist across waves; drop any
-                          // view of the slot's previous contents
       s.p.txns = cb.p.txns;
       s.p.txns.push_back(cand_.row);
       s.p.objects = cb.p.objects;
@@ -341,15 +277,7 @@ std::int32_t BucketInsertionCore::choose_level_waves(
         static_cast<std::int64_t>(wave_miss_.size()),
         [&](std::int64_t k) {
           ProbeSlot& s = wave_[wave_miss_[static_cast<std::size_t>(k)]];
-          if (math_ != BatchMathMode::kScalar && !s.p.txns.empty()) {
-            // Slot-local view: one build amortized over the whole A run,
-            // touched by exactly this worker (no sharing, no races).
-            s.soa.build(s.p);
-            s.p.soa = &s.soa;
-          }
-          s.f = estimate_fa_seeded(*algo_, s.p,
-                                   derive_seed(seed_, kProbeSalt, s.fp));
-          s.p.soa = nullptr;
+          s.f = estimate_fa_seeded(*algo_, s.p, probe_seed(seed_, s.fp));
         },
         par, 1);
 
@@ -371,9 +299,8 @@ std::int32_t BucketInsertionCore::choose_level_waves(
 void BucketInsertionCore::on_inserted(const SystemView& view, BucketId id,
                                       const Transaction& t,
                                       const ExtraAssignments& extra) {
-  if (path_ == BucketFastPath::kNaive) return;
   if (cand_.id != t.id) make_candidate(view, t, extra, cand_);
-  CachedBucket& cb = cached(id);
+  CachedBucket& cb = cache_[id];
   cb.p.oracle = &view.oracle();
   cb.p.latency_factor = view.latency_factor();
   ensure_fresh(view, cb, extra);
@@ -393,12 +320,7 @@ const BatchProblem& BucketInsertionCore::activation_problem(
     const SystemView& view, BucketId id, std::span<const TxnId> members,
     const ExtraAssignments& extra) {
   ++stats_.activations;
-  if (path_ == BucketFastPath::kNaive) {
-    ++stats_.rebuilds;
-    builder_.build(view, members, kNoTxn, extra, scratch_);
-    return scratch_;
-  }
-  CachedBucket& cb = cached(id);
+  CachedBucket& cb = cache_[id];
   DTM_CHECK(cb.p.txns.size() == members.size(),
             "activation cache out of sync: " << cb.p.txns.size()
                                              << " cached vs "
@@ -406,14 +328,7 @@ const BatchProblem& BucketInsertionCore::activation_problem(
   cb.p.oracle = &view.oracle();
   cb.p.latency_factor = view.latency_factor();
   ensure_fresh(view, cb, extra);
-  if (path_ == BucketFastPath::kVerify) {
-    ++stats_.verify_checks;
-    builder_.build(view, members, kNoTxn, extra, scratch_);
-    DTM_CHECK(problem_fingerprint(scratch_) == problem_fingerprint(cb.p),
-              "activation problem diverged from fresh build for bucket "
-                  << id);
-    return scratch_;  // hand the naive build out: byte-equal by the check
-  }
+  if (audit_ != nullptr) audit_->on_activation(view, members, extra, cb.p);
   return cb.p;
 }
 
@@ -421,18 +336,6 @@ BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
                                                 const BatchScheduler& runner,
                                                 std::int32_t retries) {
   const std::uint64_t fp = problem_fingerprint(p);
-  // SoA modes: copy the problem once and attach ONE shared view that every
-  // retry trial reads (trials never mutate the problem, and the view is
-  // built eagerly, so concurrent retries stay race-free). This is the
-  // batched F_A estimator: |retries| full schedules off a single build.
-  const BatchProblem* run = &p;
-  if (math_ != BatchMathMode::kScalar && p.soa.get() == nullptr &&
-      !p.txns.empty()) {
-    run_scratch_ = p;
-    run_soa_.build(run_scratch_);
-    run_scratch_.soa = &run_soa_;
-    run = &run_scratch_;
-  }
   if (runner.randomized() && retries > 1 && resolve_threads(threads_) > 1) {
     // Trial r's schedule depends only on (seed_, fp, r) — batch schedulers
     // are const with thread-local scratch — so all retries evaluate
@@ -443,7 +346,7 @@ BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
         [&](std::int64_t r) {
           Rng trial(derive_seed(seed_, kTrialSalt, fp,
                                 static_cast<std::uint64_t>(r)));
-          return runner.schedule(*run, trial);
+          return runner.schedule(p, trial);
         },
         resolve_threads(threads_));
     std::size_t best = 0;
@@ -452,12 +355,12 @@ BatchResult BucketInsertionCore::run_activation(const BatchProblem& p,
     return std::move(trials[best]);
   }
   Rng rng(derive_seed(seed_, kTrialSalt, fp, 0));
-  BatchResult best = runner.schedule(*run, rng);
+  BatchResult best = runner.schedule(p, rng);
   if (runner.randomized()) {
     for (std::int32_t r = 1; r < retries; ++r) {
       Rng trial(derive_seed(seed_, kTrialSalt, fp,
                             static_cast<std::uint64_t>(r)));
-      BatchResult alt = runner.schedule(*run, trial);
+      BatchResult alt = runner.schedule(p, trial);
       if (alt.makespan < best.makespan) best = std::move(alt);
     }
   }

@@ -1,8 +1,9 @@
-// Incremental bucket-insertion core shared by core/bucket_scheduler and
-// dist/dist_bucket (the paper's Algorithm 2 insertion rule and its
-// Algorithm 3 twin).
+// Bucket-insertion core shared by core/bucket_scheduler and
+// dist/dist_bucket: the paper's Algorithm 2 insertion rule (and its
+// Algorithm 3 twin) — put t in the lowest level i with
+// F_A(B_i ∪ {t}) <= 2^i.
 //
-// The naive transcription rebuilds the full BatchProblem and re-runs the
+// Read verbatim, the rule rebuilds the full BatchProblem and re-runs the
 // offline estimator A once per level from 0 upward for EVERY arrival —
 // O(arrivals x levels x |B_i| * cost(A)). This core removes each factor
 // without changing a single scheduling decision:
@@ -29,23 +30,24 @@
 //                     object can arrive, so every level with 2^i < LB
 //                     fails the F_A test without being probed.
 //
-// Byte-identity is the design invariant, not an afterthought: randomized
-// estimates and activation retries draw from RNG streams derived purely
-// from (scheduler seed, salt, problem fingerprint, trial index), so the
-// naive and incremental paths — and any mix of memo hits and misses —
-// produce bit-equal schedules. kVerify runs both paths and cross-checks
-// every level choice; the golden commit-sequence pins hold across all
-// three paths.
+// Byte-identity with the verbatim rule is the design invariant: randomized
+// estimates draw from a stream derived purely from (scheduler seed, problem
+// fingerprint) — probe_seed() below — and activation retries from
+// (seed, fingerprint, trial index), so any mix of memo hits and misses
+// yields bit-equal schedules. The verbatim scan lives in the test tree
+// (tests/ref/naive_insertion) as a differential oracle; it plugs into the
+// Audit seam below and re-derives every level choice and activation
+// problem from scratch.
 //
 // That same purity is what makes the core parallelizable without touching
 // a single decision (ARCHITECTURE.md §8): with threads > 1,
 //   - activation retries evaluate concurrently (each trial's stream
 //     depends only on (seed, fingerprint, trial index)) and merge as
 //     min-by-(makespan, trial index) — exactly the serial strict-< scan;
-//   - the incremental level scan probes levels in waves of `threads`
-//     speculative F_A estimates (memo hits resolved serially first), then
-//     picks the lowest fitting level in ascending order — the same level
-//     the one-at-a-time scan stops at, because estimates are pure.
+//   - the level scan probes levels in waves of `threads` speculative F_A
+//     estimates (memo hits resolved serially first), then picks the lowest
+//     fitting level in ascending order — the same level the one-at-a-time
+//     scan stops at, because estimates are pure.
 // Speculative probes can run A for levels the serial scan would never
 // reach, so FastPathStats counters (probes/estimates/memo_hits) are
 // thread-count-DEPENDENT introspection; decisions, schedules, and
@@ -61,18 +63,9 @@
 
 #include "batch/batch_scheduler.hpp"
 #include "batch/problem_builder.hpp"
-#include "batch/soa_problem.hpp"
 #include "core/lower_bound.hpp"
 
 namespace dtm {
-
-/// Insertion-path selector, wired through BucketOptions / DistBucketOptions
-/// (registry knob `fastpath=off|on|verify`).
-enum class BucketFastPath {
-  kNaive,        ///< rebuild + estimate every level from 0 (paper verbatim)
-  kIncremental,  ///< cached problems + memoized F_A + level lower bound
-  kVerify,       ///< incremental, cross-checked against the naive scan
-};
 
 struct FastPathStats {
   std::int64_t inserts = 0;         ///< choose_level calls
@@ -80,11 +73,11 @@ struct FastPathStats {
   std::int64_t memo_hits = 0;       ///< estimates answered from the memo
   std::int64_t estimates = 0;       ///< estimates that actually ran A
   std::int64_t levels_skipped = 0;  ///< levels below the lower-bound start
-  std::int64_t rebuilds = 0;        ///< full problem (re)builds
+  std::int64_t rebuilds = 0;        ///< full problem rebuilds: always 0,
+                                    ///< problems grow by appends
   std::int64_t refreshes = 0;       ///< cached availability refreshes
   std::int64_t appends = 0;         ///< incremental member appends
   std::int64_t activations = 0;     ///< activation problems produced
-  std::int64_t verify_checks = 0;   ///< naive cross-checks (kVerify)
 };
 
 /// Canonical 64-bit content fingerprint of a batch problem: transaction
@@ -102,6 +95,11 @@ struct FastPathStats {
                                       const BatchProblem& p,
                                       std::uint64_t seed);
 
+/// The RNG seed of the F_A probe of a problem with fingerprint `fp` under
+/// scheduler seed `seed`. The core and the verbatim reference scan both
+/// derive probe streams here, which is what keeps them byte-identical.
+[[nodiscard]] std::uint64_t probe_seed(std::uint64_t seed, std::uint64_t fp);
+
 class BucketInsertionCore {
  public:
   /// Stable caller-chosen bucket identity (core scheduler: the level;
@@ -116,19 +114,33 @@ class BucketInsertionCore {
   };
   using LevelFn = std::function<LevelView(std::int32_t)>;
 
-  /// `threads`: 1 = serial (default), 0 = all hardware threads, N = up to
-  /// N participants for wave probing and activation retries.
-  /// `math`: batch arithmetic backend stamped on every problem this core
-  /// builds (registry knob `batch_math=scalar|soa|verify`); all modes are
-  /// byte-identical, kSoA additionally attaches shared BatchProblemSoA
-  /// views so one build serves every probe trial / activation retry.
-  BucketInsertionCore(std::shared_ptr<const BatchScheduler> algo,
-                      BucketFastPath path, std::uint64_t seed,
-                      std::int32_t threads = 1,
-                      BatchMathMode math = BatchMathMode::kScalar);
+  /// Observer of every decision, for differential tests: a reference
+  /// implementation re-derives each level choice and activation problem
+  /// from scratch and checks it. Null (the default) in production runs.
+  class Audit {
+   public:
+    /// choose_level picked `chosen` for `t` over levels [0, top].
+    virtual void on_level(const SystemView& view, const Transaction& t,
+                          std::int32_t top, const LevelFn& levels,
+                          const ExtraAssignments& extra,
+                          std::int32_t chosen) = 0;
+    /// activation_problem is about to hand out `p` for `members`.
+    virtual void on_activation(const SystemView& view,
+                               std::span<const TxnId> members,
+                               const ExtraAssignments& extra,
+                               const BatchProblem& p) = 0;
 
-  [[nodiscard]] BucketFastPath path() const { return path_; }
-  [[nodiscard]] BatchMathMode math() const { return math_; }
+   protected:
+    ~Audit() = default;  // never owned through this interface
+  };
+
+  /// `threads`: 1 = serial (default), 0 = all hardware threads, N = up to
+  /// N participants for wave probing and activation retries. `audit`, when
+  /// set, must outlive the core.
+  BucketInsertionCore(std::shared_ptr<const BatchScheduler> algo,
+                      std::uint64_t seed, std::int32_t threads = 1,
+                      Audit* audit = nullptr);
+
   [[nodiscard]] const FastPathStats& stats() const { return stats_; }
 
   /// One probe of the most recent choose_level scan (testing hook for the
@@ -146,9 +158,7 @@ class BucketInsertionCore {
 
   /// Algorithm 2 line 4: lowest level i in [0, top] with
   /// F_A(B_i ∪ {t}) <= 2^i, or top when none fits. `levels(i)` names the
-  /// bucket probed at level i. On the incremental path the scan starts at
-  /// ceil(log2(LB)); kVerify re-runs the naive scan from 0 and checks the
-  /// same level wins.
+  /// bucket probed at level i. The scan starts at ceil(log2(LB)).
   [[nodiscard]] std::int32_t choose_level(const SystemView& view,
                                           const Transaction& t,
                                           std::int32_t top,
@@ -161,9 +171,9 @@ class BucketInsertionCore {
   void on_inserted(const SystemView& view, BucketId id, const Transaction& t,
                    const ExtraAssignments& extra);
 
-  /// The activation problem for bucket `id` with the given members:
-  /// refreshed cache on the incremental path, fresh build otherwise.
-  /// The reference stays valid until the next core call.
+  /// The activation problem for bucket `id` with the given members: the
+  /// cached problem, availability refreshed. The reference stays valid
+  /// until the next core call.
   [[nodiscard]] const BatchProblem& activation_problem(
       const SystemView& view, BucketId id, std::span<const TxnId> members,
       const ExtraAssignments& extra);
@@ -206,7 +216,6 @@ class BucketInsertionCore {
 
   void make_candidate(const SystemView& view, const Transaction& t,
                       const ExtraAssignments& extra, Candidate& out);
-  CachedBucket& cached(BucketId id);
   /// Refreshes `cb`'s availability (and fingerprint) for the current
   /// (step, world) if stale.
   void ensure_fresh(const SystemView& view, CachedBucket& cb,
@@ -215,22 +224,14 @@ class BucketInsertionCore {
   /// estimate (memo first), roll back.
   Time probe_cached(const SystemView& view, CachedBucket& cb,
                     const Candidate& cand, const ExtraAssignments& extra);
-  /// F_A(B ∪ {t}) via a fresh build (the naive path; also the verify
-  /// cross-check, which bypasses the memo).
-  Time probe_naive(const SystemView& view, std::span<const TxnId> members,
-                   const Candidate& cand, const ExtraAssignments& extra,
-                   bool use_memo);
-  /// Memoized estimate of `p` under its fingerprint. Non-const `p`: on an
-  /// SoA-mode memo miss the core attaches a freshly built probe_soa_ view
-  /// for the duration of the A run (detached before returning).
-  Time estimate(BatchProblem& p, std::uint64_t fp, bool use_memo);
+  /// Memoized estimate of `p` under its fingerprint.
+  Time estimate(const BatchProblem& p, std::uint64_t fp);
 
   /// One level's speculative probe during a parallel wave: a materialized
   /// copy of the cached problem with the candidate appended (copies keep
   /// the caches untouched while workers estimate concurrently).
   struct ProbeSlot {
     BatchProblem p;
-    BatchProblemSoA soa;  ///< slot-local SoA view (built by the worker)
     std::uint64_t fp = 0;
     std::int32_t level = -1;
     Time f = 0;
@@ -245,17 +246,11 @@ class BucketInsertionCore {
                                   const ExtraAssignments& extra, unsigned par);
 
   std::shared_ptr<const BatchScheduler> algo_;
-  BucketFastPath path_;
   std::uint64_t seed_;
   std::int32_t threads_ = 1;
-  BatchMathMode math_ = BatchMathMode::kScalar;
+  Audit* audit_ = nullptr;
   std::uint64_t world_ = 1;
 
-  ProblemBuilder builder_;
-  BatchProblem scratch_;  ///< naive probe / activation build target
-  BatchProblemSoA probe_soa_;  ///< SoA view for serial estimate() runs
-  BatchProblem run_scratch_;   ///< run_activation copy carrying a shared SoA
-  BatchProblemSoA run_soa_;    ///< ... built once, read by all retry trials
   Candidate cand_;
   std::unordered_map<BucketId, CachedBucket> cache_;
   std::unordered_map<std::uint64_t, Time> memo_;

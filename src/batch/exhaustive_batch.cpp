@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "batch/batch_scheduler.hpp"
-#include "batch/soa_problem.hpp"
 
 namespace dtm {
 
@@ -25,34 +24,10 @@ class ExhaustiveBatch final : public BatchScheduler {
     std::vector<std::size_t> order(p.txns.size());
     std::iota(order.begin(), order.end(), 0);
     if (order.empty()) return chain_evaluate(p, order);
-    // One SoA build amortized over all n! evaluations; the scalar mode
-    // evaluates through the reference path. kVerify cross-checks every
-    // permutation inside chain_evaluate.
-    static thread_local BatchProblemSoA soa_scratch;
-    const bool use_soa = p.math != BatchMathMode::kScalar;
-    if (use_soa && (p.soa.get() == nullptr || !p.soa.get()->matches(p)))
-      soa_scratch.build(p);
-    const BatchProblemSoA* soa =
-        !use_soa ? nullptr
-                 : (p.soa.get() != nullptr && p.soa.get()->matches(p)
-                        ? p.soa.get()
-                        : &soa_scratch);
-    const auto eval = [&](const std::vector<std::size_t>& ord) {
-      if (!use_soa) return chain_evaluate_scalar(p, ord, /*validate=*/false);
-      BatchResult r = chain_evaluate_soa(p, *soa, ord);
-      if (p.math == BatchMathMode::kVerify) {
-        const BatchResult ref =
-            chain_evaluate_scalar(p, ord, /*validate=*/false);
-        DTM_CHECK(r.makespan == ref.makespan,
-                  "exhaustive SoA eval diverged: " << r.makespan << " vs "
-                                                   << ref.makespan);
-      }
-      return r;
-    };
     std::vector<std::size_t> best_order = order;
     Time best = -1;
     do {
-      const BatchResult r = eval(order);
+      const BatchResult r = chain_evaluate(p, order, /*validate=*/false);
       if (best < 0 || r.makespan < best) {
         best = r.makespan;
         best_order = order;

@@ -3,23 +3,10 @@
 // the chain order. Topology-agnostic; slower but tighter than the
 // per-topology heuristics on small batch problems, and a calibration point
 // for how loose the certified lower bounds are (see bench_baselines).
-//
-// On the SoA math path the inner loop gets two kernel assists, neither of
-// which changes a single decision:
-//   - candidate orders evaluate through chain_evaluate_soa against ONE
-//     BatchProblemSoA built up front (the scalar path rebuilds its cursor
-//     table per evaluation either way, but the SoA arrays beat the sorted
-//     lookups);
-//   - an adjacent swap of object-disjoint transactions is skipped via a
-//     single bit test on the conflict rows: disjointness means no object's
-//     visiting order changes, so the swapped order evaluates to the exact
-//     same schedule — the scalar path would compute it and revert. kVerify
-//     still evaluates and asserts the makespan is indeed unchanged.
 #include <algorithm>
 #include <numeric>
 
 #include "batch/batch_scheduler.hpp"
-#include "batch/soa_problem.hpp"
 
 namespace dtm {
 
@@ -35,33 +22,6 @@ class LocalSearchBatch final : public BatchScheduler {
     const std::size_t n = p.txns.size();
     if (n == 0) return chain_evaluate(p, {});
 
-    const bool use_soa = p.math != BatchMathMode::kScalar;
-    static thread_local BatchProblemSoA soa_scratch;
-    const BatchProblemSoA* soa = nullptr;
-    if (use_soa) {
-      soa = p.soa.get();
-      if (soa == nullptr || !soa->matches(p)) {
-        soa_scratch.build(p);
-        soa = &soa_scratch;
-      }
-    }
-    // One evaluation seam for the whole search: scalar reference, SoA, or
-    // SoA + per-call cross-check (kVerify).
-    const auto eval = [&](const std::vector<std::size_t>& order,
-                          bool validate) {
-      if (!use_soa) return chain_evaluate_scalar(p, order, validate);
-      BatchResult r = chain_evaluate_soa(p, *soa, order);
-      if (p.math == BatchMathMode::kVerify) {
-        const BatchResult ref =
-            chain_evaluate_scalar(p, order, /*validate=*/false);
-        DTM_CHECK(r.makespan == ref.makespan,
-                  "local-search SoA eval diverged: " << r.makespan << " vs "
-                                                     << ref.makespan);
-      }
-      if (validate) check_batch_result(p, r);
-      return r;
-    };
-
     // Seed order: the coloring schedule's execution order — already good
     // on low-diameter graphs.
     const auto seed_algo = make_coloring_batch();
@@ -76,31 +36,16 @@ class LocalSearchBatch final : public BatchScheduler {
                        return p.txns[a].id < p.txns[b].id;
                      });
 
-    BatchResult best = eval(order, /*validate=*/true);
+    BatchResult best = chain_evaluate(p, order);
     // First-improvement adjacent-and-random swaps. Adjacent swaps fix
     // local inversions cheaply; random swaps escape plateaus.
-    // Invariant used by the prune: the current order always evaluates to
-    // best.makespan (improving swaps are kept, others reverted).
     for (std::int32_t round = 0; round < max_rounds_; ++round) {
       bool improved = false;
       for (std::size_t i = 0; i + 1 < n; ++i) {
-        if (use_soa && !soa->conflicts(order[i], order[i + 1])) {
-          // Object-disjoint neighbors: swapping them is a no-op schedule-
-          // wise, so the scalar path's evaluate-and-revert is skippable.
-          if (p.math == BatchMathMode::kVerify) {
-            std::swap(order[i], order[i + 1]);
-            const BatchResult cand = eval(order, /*validate=*/false);
-            DTM_CHECK(cand.makespan == best.makespan,
-                      "disjoint adjacent swap changed makespan "
-                          << best.makespan << " -> " << cand.makespan);
-            std::swap(order[i], order[i + 1]);
-          }
-          continue;
-        }
         std::swap(order[i], order[i + 1]);
         // Inner-loop evaluations skip validation; the winning order is
         // checked once below.
-        const BatchResult cand = eval(order, /*validate=*/false);
+        const BatchResult cand = chain_evaluate(p, order, /*validate=*/false);
         if (cand.makespan < best.makespan) {
           best = cand;
           improved = true;
@@ -115,7 +60,7 @@ class LocalSearchBatch final : public BatchScheduler {
             rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
         if (i == j) continue;
         std::swap(order[i], order[j]);
-        const BatchResult cand = eval(order, /*validate=*/false);
+        const BatchResult cand = chain_evaluate(p, order, /*validate=*/false);
         if (cand.makespan < best.makespan) {
           best = cand;
           improved = true;

@@ -61,10 +61,6 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
       sub.oracle = p.oracle;
       sub.latency_factor = p.latency_factor;
       sub.now = p.now;
-      // Suffix re-runs stay on the caller's math path (content differs, so
-      // any prebuilt SoA view of p does NOT carry over — sub.soa stays
-      // unset and the inner algorithm builds its own).
-      sub.math = p.math;
       sub.objects = availability_after_prefix(p, cur, start);
       for (std::size_t i = start; i < n; ++i)
         sub.txns.push_back(p.txns[order[i]]);

@@ -11,8 +11,8 @@
 //
 // Insertion runs through the shared incremental core
 // (batch/bucket_insertion.hpp): cached per-bucket problems, memoized F_A
-// estimates, and a lower-bound start level — byte-identical to the naive
-// scan, selectable via BucketOptions::fastpath.
+// estimates, and a lower-bound start level — byte-identical to the
+// verbatim scan.
 #pragma once
 
 #include <map>
@@ -42,21 +42,13 @@ struct BucketOptions {
     /// separation that Lemma 4 relies on — the ablation bench quantifies
     /// what the bucket hierarchy actually buys.
     std::int32_t force_level = -1;
-    /// Insertion path: kIncremental (default) probes via cached problems,
-    /// memoized F_A, and the lower-bound start level; kNaive rebuilds every
-    /// level from 0 (the paper-verbatim baseline bench_bucket_fastpath
-    /// measures against); kVerify runs both and checks every decision.
-    BucketFastPath fastpath = BucketFastPath::kIncremental;
     /// Worker threads for the insertion core's wave probing and activation
     /// retries (1 = serial, 0 = all hardware threads). Decisions are
     /// thread-count-invariant (ARCHITECTURE.md §8).
     std::int32_t threads = 1;
-    /// Batch arithmetic backend (registry knob `batch_math=scalar|soa|
-    /// verify`): kScalar is the reference, kSoA scores through bitset
-    /// conflict rows + popcount kernels over a shared SoA view, kVerify
-    /// runs SoA cross-checked against scalar per call. Byte-identical
-    /// schedules in all three (ARCHITECTURE.md §9).
-    BatchMathMode batch_math = BatchMathMode::kScalar;
+    /// Differential-test observer of every insertion decision and
+    /// activation problem (BucketInsertionCore::Audit); null in production.
+    BucketInsertionCore::Audit* audit = nullptr;
   };
 
 class BucketScheduler final : public OnlineScheduler {

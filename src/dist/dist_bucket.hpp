@@ -66,16 +66,12 @@ struct DistBucketOptions {
   /// message faults.
   std::int64_t timeout_mult = 4;
   SparseCoverOptions cover;
-  /// Insertion path for the partial i-buckets (same semantics as
-  /// BucketOptions::fastpath): cached per-bucket problems, memoized F_A and
-  /// the lower-bound start level, byte-identical to the naive scan.
-  BucketFastPath fastpath = BucketFastPath::kIncremental;
   /// Worker threads for the insertion core (same semantics as
   /// BucketOptions::threads; 1 = serial, 0 = all hardware threads).
   std::int32_t threads = 1;
-  /// Batch arithmetic backend (same semantics as
-  /// BucketOptions::batch_math); byte-identical schedules in all modes.
-  BatchMathMode batch_math = BatchMathMode::kScalar;
+  /// Differential-test observer of the insertion core (same semantics as
+  /// BucketOptions::audit); null in production.
+  BucketInsertionCore::Audit* audit = nullptr;
 };
 
 /// Message-accounting for the communication-overhead experiment (F4).

@@ -117,7 +117,7 @@ Weight RoutingTable::edge_weight(NodeId u, NodeId v) const {
 RoutingMode parse_routing_mode(const std::string& v) {
   if (v == "exact") return RoutingMode::kExact;
   if (v == "landmark") return RoutingMode::kLandmark;
-  if (v == "verify") return RoutingMode::kVerify;
+  if (v == "verify") return RoutingMode::kCrossCheck;
   DTM_CHECK(false, "unknown routing mode '"
                        << v << "' (expected exact|landmark|verify)");
   return RoutingMode::kExact;
@@ -127,7 +127,7 @@ std::string to_string(RoutingMode m) {
   switch (m) {
     case RoutingMode::kExact: return "exact";
     case RoutingMode::kLandmark: return "landmark";
-    case RoutingMode::kVerify: return "verify";
+    case RoutingMode::kCrossCheck: return "verify";
   }
   return "exact";
 }

@@ -122,9 +122,9 @@ class RoutingTable {
 
 /// Topology-spec routing knob (`routing=` on every topology kind).
 enum class RoutingMode : std::uint8_t {
-  kExact,     ///< the builder's native oracle (closed-form or APSP)
-  kLandmark,  ///< LandmarkOracle only — no exact oracle is built at all
-  kVerify,    ///< landmark answers cross-checked against exact per query
+  kExact,       ///< the builder's native oracle (closed-form or APSP)
+  kLandmark,    ///< LandmarkOracle only — no exact oracle is built at all
+  kCrossCheck,  ///< `verify`: landmark answers checked against exact
 };
 
 [[nodiscard]] RoutingMode parse_routing_mode(const std::string& v);

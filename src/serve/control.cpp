@@ -15,6 +15,10 @@ namespace dtm {
 
 namespace {
 
+/// Reads per connection per poll: a peer that never stops writing cannot
+/// keep poll() from returning to the serve loop.
+constexpr int kMaxReadsPerPoll = 16;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   DTM_REQUIRE(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
@@ -64,58 +68,95 @@ ControlEndpoint::~ControlEndpoint() {
   }
 }
 
+std::size_t ControlEndpoint::buffered_bytes() const {
+  std::size_t n = 0;
+  for (const Conn& c : conns_) n += c.in.size();
+  return n;
+}
+
+int ControlEndpoint::receive(Conn& c, const Handler& handler) {
+  int handled = 0;
+  const auto dispatch = [&](std::string line) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) return;
+    c.out += handler(line);
+    c.out.push_back('\n');
+    ++handled;
+  };
+  char chunk[4096];
+  for (int reads = 0; reads < kMaxReadsPerPoll && !c.done; ++reads) {
+    const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
+    if (n < 0) {
+      // EAGAIN: drained for now. Any other error ends the connection.
+      c.done = errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
+      break;
+    }
+    if (n == 0) {
+      // Peer finished sending: a trailing unterminated line counts as a
+      // final command (echo without -n, printf, etc.).
+      c.done = true;
+      dispatch(std::move(c.in));
+      c.in.clear();
+      break;
+    }
+    c.in.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
+    for (std::size_t eol; (eol = c.in.find('\n', start)) != std::string::npos;
+         start = eol + 1)
+      dispatch(c.in.substr(start, eol - start));
+    c.in.erase(0, start);
+    if (c.in.size() > kMaxLine) {
+      c.out += "err command line exceeds " + std::to_string(kMaxLine) +
+               " bytes\n";
+      c.in.clear();
+      c.done = true;
+    }
+  }
+  return handled;
+}
+
+bool ControlEndpoint::flush(Conn& c) {
+  while (!c.out.empty()) {
+    // MSG_NOSIGNAL: a peer gone mid-reply is an error here, not a SIGPIPE
+    // that kills the service.
+    const ssize_t n = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;  // next poll
+      return false;
+    }
+    c.out.erase(0, static_cast<std::size_t>(n));
+  }
+  return c.out.size() <= kMaxPending;
+}
+
 int ControlEndpoint::poll(const Handler& handler) {
-  // Accept everything pending.
+  // Accept everything pending; refuse connections over the cap.
   while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) break;  // EAGAIN / EWOULDBLOCK: nothing waiting
+    if (conns_.size() >= kMaxConns) {
+      const std::string refusal = "err too many control connections (max " +
+                                  std::to_string(kMaxConns) + ")\n";
+      (void)!::send(fd, refusal.data(), refusal.size(),
+                    MSG_NOSIGNAL | MSG_DONTWAIT);
+      ::close(fd);
+      continue;
+    }
     set_nonblocking(fd);
-    conns_.push_back({fd, {}});
+    conns_.push_back({fd, {}, {}, false});
   }
 
   int handled = 0;
   for (std::size_t i = 0; i < conns_.size();) {
     Conn& c = conns_[i];
-    bool closed = false;
-    char chunk[4096];
-    while (true) {
-      const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
-      if (n > 0) {
-        c.buf.append(chunk, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) closed = true;  // peer finished sending
-      break;                      // EAGAIN or EOF
-    }
-    // Dispatch complete lines; a trailing unterminated line on a closed
-    // connection counts as a final command (echo without -n, printf, etc.).
-    std::size_t start = 0;
-    while (true) {
-      std::size_t eol = c.buf.find('\n', start);
-      std::string line;
-      if (eol != std::string::npos) {
-        line = c.buf.substr(start, eol - start);
-        start = eol + 1;
-      } else if (closed && start < c.buf.size()) {
-        line = c.buf.substr(start);
-        start = c.buf.size();
-      } else {
-        break;
-      }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      std::string reply = handler(line);
-      reply.push_back('\n');
-      // Best effort: a slow/gone reader must not wedge the serve loop.
-      (void)!::write(c.fd, reply.data(), reply.size());
-      ++handled;
-    }
-    c.buf.erase(0, start);
-    if (closed) {
+    handled += receive(c, handler);
+    const bool keep = flush(c) && !(c.done && c.out.empty());
+    if (keep) {
+      ++i;
+    } else {
       ::close(c.fd);
       conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
     }
   }
   return handled;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -16,6 +17,14 @@ constexpr const char* kScheduleHeader = "dtm-schedule v1";
 [[noreturn]] void parse_fail(int line, const std::string& what) {
   DTM_CHECK(false, "parse error at line " << line << ": " << what);
   std::abort();  // unreachable; DTM_CHECK throws
+}
+
+/// Rejects a negative value of an id, node, time or created field: the
+/// engine and store treat negative ids as sentinels and index by node.
+void require_non_negative(int line, std::int64_t v, const char* field) {
+  if (v < 0)
+    parse_fail(line, "negative " + std::string(field) + " " +
+                         std::to_string(v));
 }
 
 std::ifstream open_in(const std::string& path) {
@@ -47,6 +56,9 @@ void save_instance(std::ostream& os, const Instance& inst) {
 
 Instance load_instance(std::istream& is) {
   Instance inst;
+  std::set<ObjId> objects;
+  std::set<TxnId> txns;
+  std::map<ObjId, int> first_use;  ///< object -> line of its first access
   std::string line;
   int lineno = 0;
   if (!std::getline(is, line) || line != kInstanceHeader)
@@ -62,11 +74,21 @@ Instance load_instance(std::istream& is) {
       ObjectOrigin o;
       if (!(ls >> o.id >> o.node >> o.created))
         parse_fail(lineno, "bad object record");
+      require_non_negative(lineno, o.id, "object id");
+      require_non_negative(lineno, o.node, "node");
+      require_non_negative(lineno, o.created, "created");
+      if (!objects.insert(o.id).second)
+        parse_fail(lineno, "duplicate object " + std::to_string(o.id));
       inst.origins.push_back(o);
     } else if (kind == "txn") {
       Transaction t;
       if (!(ls >> t.id >> t.node >> t.gen_time))
         parse_fail(lineno, "bad txn record");
+      require_non_negative(lineno, t.id, "txn id");
+      require_non_negative(lineno, t.node, "node");
+      require_non_negative(lineno, t.gen_time, "time");
+      if (!txns.insert(t.id).second)
+        parse_fail(lineno, "duplicate txn " + std::to_string(t.id));
       std::string acc;
       while (ls >> acc) {
         const auto colon = acc.find(':');
@@ -79,8 +101,10 @@ Instance load_instance(std::istream& is) {
         } catch (const std::exception&) {
           parse_fail(lineno, "bad object id in '" + acc + "'");
         }
+        require_non_negative(lineno, a.obj, "object id");
         a.mode =
             acc[colon + 1] == 'w' ? AccessMode::kWrite : AccessMode::kRead;
+        first_use.emplace(a.obj, lineno);
         t.accesses.push_back(a);
       }
       if (t.accesses.empty()) parse_fail(lineno, "txn with no accesses");
@@ -89,6 +113,18 @@ Instance load_instance(std::istream& is) {
       parse_fail(lineno, "unknown record '" + kind + "'");
     }
   }
+  // Objects may be declared anywhere in the file, so undeclared accesses
+  // are reported once it is read — at the line of the first such access.
+  int bad_line = 0;
+  ObjId bad = kNoObj;
+  for (const auto& [o, at] : first_use) {
+    if (objects.count(o) == 0 && (bad_line == 0 || at < bad_line)) {
+      bad_line = at;
+      bad = o;
+    }
+  }
+  if (bad_line != 0)
+    parse_fail(bad_line, "access to undeclared object " + std::to_string(bad));
   return inst;
 }
 

@@ -10,7 +10,6 @@
 #include "net/routing.hpp"
 #include "sim/app_workloads.hpp"
 #include "sim/io.hpp"
-#include "util/batch_math.hpp"
 
 namespace dtm {
 
@@ -71,15 +70,6 @@ std::string structural_param(const Network& net, const std::string& key,
                              << "', which network '" << net.name
                              << "' does not carry");
   return it->second;
-}
-
-/// Bucket insertion-path knob: off = paper-verbatim naive scan, on =
-/// incremental fast path, verify = fast path cross-checked per decision.
-BucketFastPath parse_fastpath(const std::string& v) {
-  if (v == "off") return BucketFastPath::kNaive;
-  if (v == "on") return BucketFastPath::kIncremental;
-  if (v == "verify") return BucketFastPath::kVerify;
-  throw CheckError("spec: fastpath must be off|on|verify, got '" + v + "'");
 }
 
 }  // namespace
@@ -276,12 +266,11 @@ const std::vector<Registry::Entry>& Registry::schedulers() {
       {"fcfs", "(distance-oblivious arrival-order baseline)"},
       {"bucket",
        "algo=auto,max-level=0,retries=3,seed=...,suffix=true,force-level=-1,"
-       "fastpath=on,threads=1,batch_math=scalar  (Algorithm 2 over offline "
-       "algo)"},
+       "threads=1  (Algorithm 2 over offline algo)"},
       {"dist-bucket",
        "algo=auto,max-level=0,retries=3,seed=...,msg=true,timeout-mult=4,"
-       "fastpath=on,threads=1,batch_math=scalar  (Algorithm 3 over a sparse "
-       "cover; forces latency factor >= 2)"},
+       "threads=1  (Algorithm 3 over a sparse cover; forces latency factor "
+       ">= 2)"},
   };
   return kEntries;
 }
@@ -558,7 +547,7 @@ Network Registry::make_network(const Spec& spec) {
     // The oracle must own its graph: Network moves by value, so handing the
     // router a pointer into net.graph would dangle. Copy once at build time.
     auto graph = std::make_shared<Graph>(net.graph);
-    auto exact = routing == RoutingMode::kVerify ? net.oracle : nullptr;
+    auto exact = routing == RoutingMode::kCrossCheck ? net.oracle : nullptr;
     net.oracle = std::make_shared<LandmarkOracle>(std::move(graph), lopts,
                                                   std::move(exact),
                                                   max_stretch);
@@ -677,8 +666,6 @@ std::unique_ptr<OnlineScheduler> Registry::make_scheduler(
         a.integer("seed", static_cast<std::int64_t>(o.seed)));
     o.enforce_suffix_property = a.boolean("suffix", true);
     o.force_level = static_cast<std::int32_t>(a.integer("force-level", -1));
-    o.fastpath = parse_fastpath(a.str("fastpath", "on"));
-    o.batch_math = parse_batch_math(a.str("batch_math", "scalar"));
     o.threads = static_cast<std::int32_t>(a.integer("threads", threads));
     DTM_REQUIRE(o.threads >= 0,
                 "bucket: threads must be >= 0, got " << o.threads);
@@ -692,8 +679,6 @@ std::unique_ptr<OnlineScheduler> Registry::make_scheduler(
         a.integer("seed", static_cast<std::int64_t>(o.seed)));
     o.message_level_discovery = a.boolean("msg", true);
     o.timeout_mult = a.integer("timeout-mult", o.timeout_mult);
-    o.fastpath = parse_fastpath(a.str("fastpath", "on"));
-    o.batch_math = parse_batch_math(a.str("batch_math", "scalar"));
     o.threads = static_cast<std::int32_t>(a.integer("threads", threads));
     DTM_REQUIRE(o.threads >= 0,
                 "dist-bucket: threads must be >= 0, got " << o.threads);

@@ -2,9 +2,14 @@
 // scheduler, F_A estimation, and the baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "batch/batch_scheduler.hpp"
 #include "core/lower_bound.hpp"
 #include "net/topology.hpp"
+#include "util/parallel.hpp"
 
 namespace dtm {
 namespace {
@@ -260,6 +265,167 @@ TEST(HypercubeGray, ConsecutiveRanksOneHop) {
   // A Gray walk visits all 16 nodes with unit hops: one object can follow
   // it in 16 + small steps; far below the naive 16 * diameter.
   EXPECT_LE(r.makespan, 16 + 4);
+}
+
+// ---- Fuzzed problems: non-dense ids, shuffled access order, pinned
+// availability in the future, latency factor 2 ----
+
+Network fuzz_network(Rng& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return make_line(static_cast<NodeId>(rng.uniform_int(2, 14)));
+    case 1:
+      return make_clique(static_cast<NodeId>(rng.uniform_int(2, 10)));
+    case 2:
+      return make_star(static_cast<NodeId>(rng.uniform_int(2, 4)),
+                       static_cast<NodeId>(rng.uniform_int(2, 4)));
+    default: {
+      const auto beta = rng.uniform_int(2, 3);
+      return make_cluster(static_cast<NodeId>(rng.uniform_int(2, 3)),
+                          static_cast<NodeId>(beta),
+                          static_cast<Weight>(rng.uniform_int(beta, 6)));
+    }
+  }
+}
+
+BatchProblem fuzz_problem(const Network& net, Rng& rng,
+                          std::int64_t max_txns = 12) {
+  BatchProblem p;
+  p.oracle = net.oracle.get();
+  p.latency_factor = rng.uniform_int(1, 2);
+  p.now = rng.uniform_int(0, 50);
+  const auto n_nodes = static_cast<std::int64_t>(net.num_nodes());
+  const auto n_obj = rng.uniform_int(1, 8);
+  for (ObjId o = 0; o < n_obj; ++o) {
+    const bool from_txn = rng.uniform_int(0, 3) == 0;
+    p.objects.push_back({o,
+                         static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1)),
+                         p.now + rng.uniform_int(0, 10), from_txn});
+  }
+  const auto n_txn = rng.uniform_int(1, max_txns);
+  for (TxnId t = 1; t <= n_txn; ++t) {
+    BatchTxn bt;
+    bt.id = t * 7 + 1;  // non-dense ids
+    bt.node = static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1));
+    const auto k = rng.uniform_int(1, std::min<std::int64_t>(3, n_obj));
+    std::set<ObjId> objs;
+    while (static_cast<std::int64_t>(objs.size()) < k)
+      objs.insert(static_cast<ObjId>(rng.uniform_int(0, n_obj - 1)));
+    bt.objects.assign(objs.begin(), objs.end());
+    for (std::size_t i = bt.objects.size(); i > 1; --i)
+      std::swap(bt.objects[i - 1],
+                bt.objects[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+    p.txns.push_back(std::move(bt));
+  }
+  return p;
+}
+
+std::vector<std::size_t> shuffled_order(std::size_t n, Rng& rng) {
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(order[i - 1],
+              order[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  return order;
+}
+
+TEST(ChainEvaluate, MatchesMapReferenceOnFuzzedProblems) {
+  // The flat sorted-cursor table against a direct std::map transcription
+  // of the object chains; chain_evaluate also validates its own output.
+  Rng rng(0xC4A1);
+  for (int it = 0; it < 150; ++it) {
+    const Network net = fuzz_network(rng);
+    const BatchProblem p = fuzz_problem(net, rng);
+    const auto order = shuffled_order(p.txns.size(), rng);
+    std::map<ObjId, BatchObject> at;
+    for (const BatchObject& o : p.objects) at[o.id] = o;
+    BatchResult ref;
+    for (const std::size_t idx : order) {
+      const BatchTxn& t = p.txns[idx];
+      Time e = p.now;
+      for (const ObjId o : t.objects) {
+        const BatchObject& c = at.at(o);
+        Time arrive = c.ready + p.travel(c.node, t.node);
+        if (c.from_txn) arrive = std::max(arrive, c.ready + 1);
+        e = std::max(e, arrive);
+      }
+      for (const ObjId o : t.objects) at[o] = {o, t.node, e, true};
+      ref.assignments.push_back({t.id, e});
+      ref.makespan = std::max(ref.makespan, e - p.now);
+    }
+    const BatchResult got = chain_evaluate(p, order);
+    ASSERT_EQ(got.makespan, ref.makespan) << "iter " << it;
+    ASSERT_EQ(got.assignments.size(), ref.assignments.size());
+    for (std::size_t i = 0; i < got.assignments.size(); ++i) {
+      EXPECT_EQ(got.assignments[i].txn, ref.assignments[i].txn);
+      EXPECT_EQ(got.assignments[i].exec, ref.assignments[i].exec);
+    }
+  }
+}
+
+TEST(BatchAlgorithms, FeasibleAndDeterministicOnFuzzedProblems) {
+  // Coloring, local search and exhaustive search on fuzzed problems: every
+  // schedule validates (schedule() runs check_batch_result), a rerun with
+  // the same seed is identical, and the exhaustive chain order is never
+  // beaten by local search's chain order.
+  Rng rng(0x3A7);
+  const auto coloring = make_coloring_batch();
+  const auto local = make_local_search_batch(3);
+  const auto exhaustive = make_exhaustive_batch(6);
+  for (int it = 0; it < 40; ++it) {
+    const Network net = fuzz_network(rng);
+    const BatchProblem p = fuzz_problem(net, rng, /*max_txns=*/6);
+    const auto algo_seed =
+        static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
+    const auto run = [&](const BatchScheduler& a) {
+      Rng r(algo_seed);
+      return a.schedule(p, r);
+    };
+    for (const BatchScheduler* a :
+         {coloring.get(), local.get(), exhaustive.get()}) {
+      const BatchResult first = run(*a);
+      const BatchResult again = run(*a);
+      ASSERT_EQ(first.assignments.size(), p.txns.size()) << a->name();
+      ASSERT_EQ(again.makespan, first.makespan) << a->name() << " " << it;
+      for (std::size_t i = 0; i < first.assignments.size(); ++i)
+        EXPECT_EQ(again.assignments[i].exec, first.assignments[i].exec);
+    }
+    EXPECT_LE(run(*exhaustive).makespan, run(*local).makespan)
+        << "iter " << it;
+  }
+}
+
+// One shared read-only problem, many concurrent evaluators — the shape of
+// BucketInsertionCore's parallel activation retries and wave probes.
+// Named "...Parallel" so the TSan CI job races it for real.
+TEST(BatchParallel, ConcurrentChainEvaluateIsRaceFree) {
+  Rng rng(0xACE);
+  const Network net = make_cluster(2, 3, 4);
+  const BatchProblem p = fuzz_problem(net, rng, /*max_txns=*/10);
+  std::vector<std::size_t> base(p.txns.size());
+  for (std::size_t i = 0; i < base.size(); ++i) base[i] = i;
+  const BatchResult ref = chain_evaluate(p, base);
+  const auto coloring = make_coloring_batch();
+  Rng seq(1);
+  const BatchResult colored = coloring->schedule(p, seq);
+  const auto results = parallel_map<BatchResult>(
+      16,
+      [&](std::int64_t r) {
+        std::vector<std::size_t> order = base;
+        std::rotate(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(
+                                        static_cast<std::size_t>(r) %
+                                        std::max<std::size_t>(1, order.size())),
+                    order.end());
+        (void)chain_evaluate(p, order);
+        Rng local(1);
+        EXPECT_EQ(coloring->schedule(p, local).makespan, colored.makespan);
+        return chain_evaluate(p, base);
+      },
+      4);
+  for (const auto& r : results) EXPECT_EQ(r.makespan, ref.makespan);
 }
 
 }  // namespace

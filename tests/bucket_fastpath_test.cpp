@@ -1,10 +1,11 @@
 // Tests for the incremental bucket-insertion core (batch/bucket_insertion):
-// the level-search lower bound is exact (verify mode asserts the chosen
-// level equals the naive scan's on randomized workloads), memoized F_A
-// estimates and cached problems change nothing observable, and the naive /
-// incremental / verify paths produce byte-identical commit sequences, both
-// on the production engine and stepped in lockstep with the scan oracle
-// (tests/ref/), for both the centralized and distributed schedulers.
+// the level-search lower bound is exact (the verbatim-scan oracle in
+// tests/ref/naive_insertion re-derives every level choice and activation
+// problem on randomized workloads), memoized F_A estimates and cached
+// problems change nothing observable, and runs audited by that oracle and
+// stepped in lockstep with the scan engine (tests/ref/) commit the same
+// sequences as plain runs, for both the centralized and distributed
+// schedulers.
 #include <gtest/gtest.h>
 
 #include "core/bucket_scheduler.hpp"
@@ -12,6 +13,7 @@
 #include "fault/plan.hpp"
 #include "net/topology.hpp"
 #include "ref/lockstep.hpp"
+#include "ref/naive_insertion.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "test_helpers.hpp"
@@ -93,43 +95,85 @@ TEST(BucketFastPath, ScanRecordsRespectLowerBoundAndThresholds) {
   }
 }
 
-TEST(BucketFastPath, VerifyModeMatchesNaiveScanOnRandomWorkloads) {
-  // kVerify re-runs the paper-verbatim scan from level 0 after every
-  // insertion and DTM_CHECKs the same level wins — this is the lower
-  // bound's exactness proof running as a test. Randomized topologies and
-  // workloads; coloring (deterministic) and auto (randomized on cluster /
-  // star) offline algorithms.
+TEST(BucketFastPath, CoreMatchesNaiveOracleOnRandomWorkloads) {
+  // The verbatim scan from level 0 re-derives every insertion and every
+  // activation problem of the production core — the lower bound's
+  // exactness proof (and the cache/memo soundness proof) running as a
+  // test. Randomized topologies and workloads; coloring (deterministic)
+  // and auto (randomized on cluster / star) offline algorithms; serial and
+  // wave-probing cores.
   Rng rng(0xFA57BD);
   for (int iter = 0; iter < 6; ++iter) {
     const Network net = random_topology(rng);
     const SyntheticOptions wopts = random_workload(net, rng);
-    SyntheticWorkload wl(net, wopts);
-    BucketOptions o;
-    o.fastpath = BucketFastPath::kVerify;
-    BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
-    (void)testing::run_and_validate(net, wl, sched);
-    EXPECT_EQ(sched.fastpath_stats().verify_checks,
-              sched.fastpath_stats().inserts +
-                  sched.fastpath_stats().activations)
-        << "every insertion and activation must have been cross-checked";
+    for (const char* algo : {"coloring", "auto"}) {
+      for (const std::int32_t threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << net.name << " iter " << iter
+                                          << " algo " << algo << " threads "
+                                          << threads);
+        SyntheticWorkload wl(net, wopts);
+        BucketOptions o;
+        o.threads = threads;
+        const auto a = Registry::make_batch_algo(algo, net);
+        NaiveInsertion oracle(a, o.seed);
+        o.audit = &oracle;
+        BucketScheduler sched(a, o);
+        (void)testing::run_and_validate(net, wl, sched);
+        const FastPathStats& s = sched.fastpath_stats();
+        EXPECT_GT(oracle.level_checks(), 0);
+        EXPECT_GT(oracle.activation_checks(), 0);
+        EXPECT_EQ(oracle.level_checks(), s.inserts)
+            << "every insertion must have been re-derived";
+        EXPECT_EQ(oracle.activation_checks(), s.activations)
+            << "every activation problem must have been rebuilt";
+      }
+    }
   }
 }
 
+TEST(BucketFastPath, NaiveOracleRejectsAWrongLevel) {
+  // The audit is live, not a counter: a level the verbatim scan would not
+  // choose throws. Single txn 15 hops from its object: the scan picks 4.
+  const Network net = make_line(16);
+  ScriptedWorkload wl({origin(0, 0)}, {txn(1, 15, 0, {0})});
+  SyncEngine eng(net.oracle, wl.objects(), {});
+  const auto arrivals = wl.arrivals_at(0);
+  eng.begin_step(arrivals);
+  NaiveInsertion oracle(coloring(), 0);
+  const auto levels = [](std::int32_t i) {
+    return BucketInsertionCore::LevelView{
+        static_cast<BucketInsertionCore::BucketId>(i), {}};
+  };
+  const ExtraAssignments extra;
+  EXPECT_EQ(oracle.choose_level(eng, eng.txn(1), 8, levels, extra), 4);
+  EXPECT_NO_THROW(oracle.on_level(eng, eng.txn(1), 8, levels, extra, 4));
+  EXPECT_THROW(oracle.on_level(eng, eng.txn(1), 8, levels, extra, 5),
+               CheckError);
+  EXPECT_EQ(oracle.level_checks(), 2);
+  eng.finish_step();
+}
+
 // ---------------------------------------------------------------------------
-// Byte-identity across paths, engines, and schedulers. The engine modes
-// are the production engine alone and the production engine stepped in
-// lockstep with the scan oracle (`against_oracle`).
+// Byte-identity across engines and schedulers. The engine modes are the
+// production engine alone and the production engine stepped in lockstep
+// with the scan oracle (`against_oracle`); lockstep runs are additionally
+// audited by the verbatim insertion scan, which must not perturb them.
 
 RunResult run_bucket(const Network& net, const SyntheticOptions& wopts,
-                     BucketFastPath fp, bool against_oracle) {
+                     bool against_oracle) {
   SyntheticWorkload wl(net, wopts);
   BucketOptions o;
-  o.fastpath = fp;
-  BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
+  const auto algo = Registry::make_batch_algo("auto", net);
+  NaiveInsertion naive(algo, o.seed);
+  if (against_oracle) o.audit = &naive;
+  BucketScheduler sched(algo, o);
   RunOptions opts;
   opts.validate = true;
-  return against_oracle ? run_lockstep(net, wl, sched, opts)
-                        : run_experiment(net, wl, sched, opts);
+  if (!against_oracle) return run_experiment(net, wl, sched, opts);
+  RunResult r = run_lockstep(net, wl, sched, opts);
+  EXPECT_EQ(naive.level_checks(), sched.fastpath_stats().inserts);
+  EXPECT_GT(naive.activation_checks(), 0);
+  return r;
 }
 
 TEST(BucketFastPath, PathsByteIdenticalInAllEngineModes) {
@@ -144,11 +188,7 @@ TEST(BucketFastPath, PathsByteIdenticalInAllEngineModes) {
     w.rounds = 3;
     w.arrival_prob = 0.3;
     w.seed = 909;
-    const RunResult base = run_bucket(net, w, BucketFastPath::kNaive, false);
-    for (const auto fp : {BucketFastPath::kNaive, BucketFastPath::kIncremental,
-                          BucketFastPath::kVerify})
-      for (const bool oracle : {false, true})
-        expect_identical(base, run_bucket(net, w, fp, oracle));
+    expect_identical(run_bucket(net, w, false), run_bucket(net, w, true));
   }
 }
 
@@ -181,7 +221,7 @@ TEST(BucketFastPath, MemoAnswersRepeatedScansWithoutRerunningA) {
   const auto arrivals = wl.arrivals_at(0);
   eng.begin_step(arrivals);
 
-  BucketInsertionCore core(coloring(), BucketFastPath::kIncremental, 0);
+  BucketInsertionCore core(coloring(), 0);
   const auto levels = [](std::int32_t i) {
     return BucketInsertionCore::LevelView{
         static_cast<BucketInsertionCore::BucketId>(i), {}};
@@ -209,8 +249,8 @@ TEST(BucketFastPath, MemoAnswersRepeatedScansWithoutRerunningA) {
   eng.finish_step();
 }
 
-RunResult run_dist(const Network& net, BucketFastPath fp,
-                   const FaultPlan& plan, bool against_oracle) {
+RunResult run_dist(const Network& net, const FaultPlan& plan,
+                   bool against_oracle) {
   SyntheticOptions w;
   w.num_objects = 10;
   w.k = 2;
@@ -220,15 +260,20 @@ RunResult run_dist(const Network& net, BucketFastPath fp,
   DistBucketOptions o;
   o.seed = 77;
   o.fault = plan;
-  o.fastpath = fp;
-  DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
-                                   o);
+  const auto algo = Registry::make_batch_algo("auto", net);
+  NaiveInsertion naive(algo, o.seed);
+  if (against_oracle) o.audit = &naive;
+  DistributedBucketScheduler sched(net, algo, o);
   RunOptions opts;
   opts.engine.latency_factor = 2;  // §V half-speed objects
   opts.engine.fault = plan;
   opts.validate = true;
-  return against_oracle ? run_lockstep(net, wl, sched, opts)
-                        : run_experiment(net, wl, sched, opts);
+  if (!against_oracle) return run_experiment(net, wl, sched, opts);
+  RunResult r = run_lockstep(net, wl, sched, opts);
+  EXPECT_EQ(naive.level_checks(), sched.fastpath_stats().inserts);
+  EXPECT_EQ(naive.activation_checks(), sched.fastpath_stats().activations);
+  EXPECT_GT(naive.activation_checks(), 0);
+  return r;
 }
 
 TEST(DistBucketFastPath, PathsByteIdenticalUnderNullAndChaosPlans) {
@@ -239,14 +284,8 @@ TEST(DistBucketFastPath, PathsByteIdenticalUnderNullAndChaosPlans) {
   chaos.dup = 0.1;
   chaos.stall = 0.3;
   chaos.seed = 23;
-  for (const FaultPlan& plan : {FaultPlan{}, chaos}) {
-    const RunResult base =
-        run_dist(net, BucketFastPath::kNaive, plan, false);
-    for (const auto fp : {BucketFastPath::kNaive, BucketFastPath::kIncremental,
-                          BucketFastPath::kVerify})
-      for (const bool oracle : {false, true})
-        expect_identical(base, run_dist(net, fp, plan, oracle));
-  }
+  for (const FaultPlan& plan : {FaultPlan{}, chaos})
+    expect_identical(run_dist(net, plan, false), run_dist(net, plan, true));
 }
 
 // ---------------------------------------------------------------------------

@@ -74,10 +74,11 @@ TEST(DependencyGraph, DetectsInvalidColoring) {
   EXPECT_FALSE(g.valid_partial_coloring());
 }
 
-// The bitset pair-construction path (kSoA) must reproduce the scalar
-// packed-sort path edge for edge, on live engine states mid-run; kVerify
-// additionally self-checks inside build.
-TEST(DependencyGraph, BitsetBuildMatchesScalar) {
+// The conflict edges (H_t) equal a brute-force all-pairs sweep — one edge
+// per pair of live transactions sharing at least one object, in ascending
+// (a, b) order, weighted by travel time (>= 1) — on live engine states
+// mid-run, and the degrees agree with the edge list.
+TEST(DependencyGraph, ConflictEdgesMatchAllPairsSweepMidRun) {
   const auto nets = testing::small_networks();
   for (std::size_t ni = 0; ni < nets.size(); ++ni) {
     const Network& net = nets[ni];
@@ -94,24 +95,39 @@ TEST(DependencyGraph, BitsetBuildMatchesScalar) {
       const auto arrivals = wl.arrivals_at(eng.now());
       eng.begin_step(arrivals);
       eng.apply(sched.on_step(eng, arrivals));
-      const DependencyGraph ref =
-          DependencyGraph::build(eng, BatchMathMode::kScalar);
-      for (const auto m : {BatchMathMode::kSoA, BatchMathMode::kVerify}) {
-        const DependencyGraph g = DependencyGraph::build(eng, m);
-        ASSERT_EQ(g.nodes().size(), ref.nodes().size());
-        ASSERT_EQ(g.edges().size(), ref.edges().size())
-            << net.name << " step " << eng.now();
-        for (std::size_t e = 0; e < g.edges().size(); ++e) {
-          EXPECT_EQ(g.edges()[e].a, ref.edges()[e].a);
-          EXPECT_EQ(g.edges()[e].b, ref.edges()[e].b);
-          EXPECT_EQ(g.edges()[e].weight, ref.edges()[e].weight);
-        }
-        for (std::size_t v = 0; v < g.nodes().size(); ++v) {
-          const auto n = static_cast<std::int32_t>(v);
-          EXPECT_EQ(g.degree(n), ref.degree(n));
-          EXPECT_EQ(g.weighted_degree(n), ref.weighted_degree(n));
+      const DependencyGraph g = DependencyGraph::build(eng);
+      std::vector<DependencyEdge> expect;
+      const auto& nodes = g.nodes();
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (nodes[i].kind != DependencyNode::Kind::kLiveTxn) continue;
+        const Transaction& a = eng.txn(nodes[i].txn);
+        for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+          if (nodes[j].kind != DependencyNode::Kind::kLiveTxn) continue;
+          const Transaction& b = eng.txn(nodes[j].txn);
+          if (!a.conflicts_with(b)) continue;
+          expect.push_back({static_cast<std::int32_t>(i),
+                            static_cast<std::int32_t>(j),
+                            std::max<Weight>(1, eng.travel(a.node, b.node))});
         }
       }
+      std::size_t conflict_edges = 0;
+      std::int64_t degree_sum = 0;
+      for (const DependencyEdge& e : g.edges()) {
+        const bool txn_edge =
+            nodes[static_cast<std::size_t>(e.b)].kind ==
+            DependencyNode::Kind::kLiveTxn;
+        if (!txn_edge) continue;
+        ASSERT_LT(conflict_edges, expect.size()) << net.name;
+        const DependencyEdge& x = expect[conflict_edges++];
+        EXPECT_EQ(e.a, x.a) << net.name << " step " << eng.now();
+        EXPECT_EQ(e.b, x.b) << net.name << " step " << eng.now();
+        EXPECT_EQ(e.weight, x.weight);
+      }
+      EXPECT_EQ(conflict_edges, expect.size())
+          << net.name << " step " << eng.now();
+      for (std::size_t v = 0; v < nodes.size(); ++v)
+        degree_sum += g.degree(static_cast<std::int32_t>(v));
+      EXPECT_EQ(degree_sum, 2 * static_cast<std::int64_t>(g.edges().size()));
       for (const auto& c : eng.finish_step()) wl.on_commit(c.txn, c.exec);
       ASSERT_LT(++steps, 1'000'000);
     }

@@ -15,6 +15,7 @@
 #include "dist/dist_bucket.hpp"
 #include "fault/plan.hpp"
 #include "net/topology.hpp"
+#include "ref/naive_insertion.hpp"
 #include "serve/server.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
@@ -129,16 +130,14 @@ TEST(GoldenSequence, MatchesPreRefactorEngine) {
 }
 
 // Bucket fast-path pins: the same workload through the bucket scheduler
-// must hash identically for every fastpath mode (naive / incremental /
-// verify) — one pinned value per topology. This is the
-// byte-identity guarantee of the insertion fast path in golden form: a
-// cached problem gone stale, a memo key collision, or a drifted derived
-// RNG stream flips the hash. line exercises a deterministic A; cluster and
-// star exercise randomized A, where the per-probe / per-trial derived
-// streams carry the identity.
-std::uint64_t run_bucket_fastpath_case(
-    const Network& net, BucketFastPath fp,
-    BatchMathMode math = BatchMathMode::kScalar) {
+// must hash to one pinned value per topology, with and without the
+// verbatim insertion scan (tests/ref/naive_insertion) auditing every
+// decision. This is the byte-identity guarantee of the insertion fast path
+// in golden form: a cached problem gone stale, a memo key collision, or a
+// drifted derived RNG stream flips the hash or trips the audit. line
+// exercises a deterministic A; cluster and star exercise randomized A,
+// where the per-probe / per-trial derived streams carry the identity.
+std::uint64_t run_bucket_fastpath_case(const Network& net, bool audited) {
   SyntheticOptions w;
   w.num_objects = 8;
   w.k = 2;
@@ -147,9 +146,10 @@ std::uint64_t run_bucket_fastpath_case(
   w.seed = 909;
   SyntheticWorkload wl(net, w);
   BucketOptions o;
-  o.fastpath = fp;
-  o.batch_math = math;
-  BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
+  const auto algo = Registry::make_batch_algo("auto", net);
+  NaiveInsertion naive(algo, o.seed);
+  if (audited) o.audit = &naive;
+  BucketScheduler sched(algo, o);
   return hash_result(run_experiment(net, wl, sched));
 }
 
@@ -165,19 +165,9 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
       {"star33", make_star(3, 3), 0xd00a62eecafac274ULL},
   };
   for (const auto& c : cases) {
-    for (const auto fp :
-         {BucketFastPath::kNaive, BucketFastPath::kIncremental,
-          BucketFastPath::kVerify}) {
-      const std::uint64_t h = run_bucket_fastpath_case(c.net, fp);
-      EXPECT_EQ(h, c.pin) << c.label << " fastpath " << static_cast<int>(fp)
-                          << " actual 0x" << std::hex << h;
-    }
-    // Batch math modes must land on the SAME pins: the SoA kernels are a
-    // drop-in arithmetic backend, not a new scheduler.
-    for (const auto math : {BatchMathMode::kSoA, BatchMathMode::kVerify}) {
-      const std::uint64_t h = run_bucket_fastpath_case(
-          c.net, BucketFastPath::kIncremental, math);
-      EXPECT_EQ(h, c.pin) << c.label << " batch_math " << to_string(math)
+    for (const bool audited : {false, true}) {
+      const std::uint64_t h = run_bucket_fastpath_case(c.net, audited);
+      EXPECT_EQ(h, c.pin) << c.label << " audited " << audited
                           << " actual 0x" << std::hex << h;
     }
   }
@@ -190,8 +180,7 @@ TEST(GoldenSequence, BucketFastPathPinnedOnAllTopologies) {
 // like the clean one — any change to the fault draw order, the timeout
 // arithmetic, or the retry protocol flips it.
 std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
-                            BucketFastPath fp = BucketFastPath::kIncremental,
-                            BatchMathMode math = BatchMathMode::kScalar) {
+                            bool audited = false) {
   SyntheticOptions w;
   w.num_objects = 10;
   w.k = 2;
@@ -201,10 +190,10 @@ std::uint64_t run_dist_case(const Network& net, const FaultPlan& plan,
   DistBucketOptions o;
   o.seed = 77;
   o.fault = plan;
-  o.fastpath = fp;
-  o.batch_math = math;
-  DistributedBucketScheduler sched(net, Registry::make_batch_algo("auto", net),
-                                   o);
+  const auto algo = Registry::make_batch_algo("auto", net);
+  NaiveInsertion naive(algo, o.seed);
+  if (audited) o.audit = &naive;
+  DistributedBucketScheduler sched(net, algo, o);
   RunOptions opts;
   opts.engine.latency_factor = 2;  // §V half-speed objects
   opts.engine.fault = plan;
@@ -229,10 +218,11 @@ TEST(GoldenSequence, DistBucketChaosPlanPinned) {
   EXPECT_EQ(run_dist_case(make_cluster(2, 3, 4), plan), kPin);
 }
 
-TEST(GoldenSequence, DistBucketFastPathModesMatchTheSamePins) {
+TEST(GoldenSequence, DistBucketPinsHoldUnderNaiveOracleAudit) {
   // The distributed scheduler's partial i-buckets go through the same
-  // insertion core: all three fastpath modes must land on the exact pins
-  // above, under both the null and the chaos plan.
+  // insertion core: with the verbatim scan auditing every level choice and
+  // activation problem, runs must land on the exact pins above, under both
+  // the null and the chaos plan.
   const std::uint64_t kNullPin = 0xcdd107db4c1159e2ULL;
   const std::uint64_t kChaosPin = 0x7d0e573c8d14d918ULL;
   FaultPlan chaos;
@@ -242,28 +232,8 @@ TEST(GoldenSequence, DistBucketFastPathModesMatchTheSamePins) {
   chaos.stall = 0.3;
   chaos.seed = 23;
   const Network net = make_cluster(2, 3, 4);
-  for (const auto fp :
-       {BucketFastPath::kNaive, BucketFastPath::kIncremental,
-        BucketFastPath::kVerify}) {
-    EXPECT_EQ(run_dist_case(net, FaultPlan{}, fp),
-              kNullPin)
-        << "fastpath " << static_cast<int>(fp);
-    EXPECT_EQ(run_dist_case(net, chaos, fp),
-              kChaosPin)
-        << "fastpath " << static_cast<int>(fp);
-  }
-  // And the batch-math backends land on the same pins too (the dist
-  // scheduler's partial i-buckets and activations run through the same
-  // SoA-aware insertion core).
-  for (const auto math : {BatchMathMode::kSoA, BatchMathMode::kVerify}) {
-    EXPECT_EQ(run_dist_case(net, FaultPlan{}, BucketFastPath::kIncremental,
-                            math),
-              kNullPin)
-        << "batch_math " << to_string(math);
-    EXPECT_EQ(run_dist_case(net, chaos, BucketFastPath::kIncremental, math),
-              kChaosPin)
-        << "batch_math " << to_string(math);
-  }
+  EXPECT_EQ(run_dist_case(net, FaultPlan{}, /*audited=*/true), kNullPin);
+  EXPECT_EQ(run_dist_case(net, chaos, /*audited=*/true), kChaosPin);
 }
 
 TEST(GoldenSequence, ServeModePinned) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/greedy_scheduler.hpp"
 #include "sim/io.hpp"
@@ -80,6 +81,60 @@ TEST(InstanceIo, RejectsMalformed) {
     std::stringstream buf("dtm-instance v1\nbogus 1 2 3\n");
     EXPECT_THROW((void)load_instance(buf), CheckError);
   }
+}
+
+/// load_instance(text) must fail with "parse error at line N" naming
+/// `what`.
+void expect_parse_error(const std::string& text, int line,
+                        const std::string& what) {
+  std::stringstream buf(text);
+  try {
+    (void)load_instance(buf);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("parse error at line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(InstanceIo, RejectsDuplicateObjectId) {
+  expect_parse_error("dtm-instance v1\nobject 0 1 0\nobject 0 2 0\n", 3,
+                     "duplicate object 0");
+}
+
+TEST(InstanceIo, RejectsDuplicateTxnId) {
+  expect_parse_error(
+      "dtm-instance v1\nobject 0 1 0\ntxn 4 0 0 0:w\ntxn 4 1 2 0:r\n", 4,
+      "duplicate txn 4");
+}
+
+TEST(InstanceIo, RejectsAccessToUndeclaredObject) {
+  expect_parse_error(
+      "dtm-instance v1\nobject 0 1 0\ntxn 1 0 0 0:w\ntxn 2 0 0 0:w 7:r\n"
+      "txn 3 0 0 5:w\n",
+      4, "undeclared object 7");
+  // Declaration order is free: an object declared after its first user is
+  // declared.
+  std::stringstream later(
+      "dtm-instance v1\ntxn 1 0 0 3:w\nobject 3 1 0\n");
+  EXPECT_EQ(load_instance(later).txns.size(), 1u);
+}
+
+TEST(InstanceIo, RejectsNegativeFields) {
+  expect_parse_error("dtm-instance v1\nobject 0 -1 0\n", 2, "negative node");
+  expect_parse_error("dtm-instance v1\nobject 0 1 -3\n", 2,
+                     "negative created");
+  expect_parse_error("dtm-instance v1\nobject 0 1 0\ntxn 1 -2 0 0:w\n", 3,
+                     "negative node");
+  expect_parse_error("dtm-instance v1\nobject 0 1 0\ntxn 1 0 -5 0:w\n", 3,
+                     "negative time");
+  expect_parse_error("dtm-instance v1\nobject 0 1 0\ntxn -1 0 0 0:w\n", 3,
+                     "negative txn id");
+  expect_parse_error("dtm-instance v1\nobject 0 1 0\ntxn 1 0 0 -1:w\n", 3,
+                     "negative object id");
 }
 
 TEST(ScheduleIo, RoundTripAgainstInstance) {

@@ -2,6 +2,7 @@
 // makespan of any feasible schedule) and tight on crafted instances.
 #include <gtest/gtest.h>
 
+#include "batch/batch_scheduler.hpp"
 #include "core/lower_bound.hpp"
 #include "net/topology.hpp"
 #include "test_helpers.hpp"
@@ -103,6 +104,55 @@ TEST_P(LowerBoundSoundness, NeverExceedsAchievedMakespan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LowerBoundSoundness, ::testing::Range(0, 10));
+
+// Certificate check against the true optimum: on tiny instances where
+// every transaction is generated at time 0, the exhaustive chain search is
+// the optimal makespan (any feasible schedule's execution order, replayed
+// as a chain, is no later), so no certificate may exceed it. The batch
+// model lets a transaction sitting on its objects execute at time 0, below
+// best()'s floor of one step, so the floor is compared against max(opt, 1).
+TEST(LowerBound, NeverExceedsExhaustiveOptimum) {
+  Rng rng(0x10B0);
+  const auto exhaustive = make_exhaustive_batch(7);
+  for (int it = 0; it < 40; ++it) {
+    const Network net =
+        rng.uniform_int(0, 1) == 0
+            ? make_grid({static_cast<NodeId>(rng.uniform_int(2, 4)),
+                         static_cast<NodeId>(rng.uniform_int(2, 4))})
+            : make_line(static_cast<NodeId>(rng.uniform_int(4, 16)));
+    const auto n_nodes = static_cast<std::int64_t>(net.num_nodes());
+    const auto latency = rng.uniform_int(1, 2);
+    const auto n_obj = static_cast<ObjId>(rng.uniform_int(2, 5));
+    BatchProblem p;
+    p.oracle = net.oracle.get();
+    p.latency_factor = latency;
+    std::vector<ObjectOrigin> origins;
+    for (ObjId o = 0; o < n_obj; ++o) {
+      const auto node = static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1));
+      p.objects.push_back({o, node, 0, false});
+      origins.push_back(origin(o, node));
+    }
+    std::vector<Transaction> txns;
+    const auto n_txn = rng.uniform_int(1, 7);
+    for (TxnId i = 0; i < n_txn; ++i) {
+      const auto objs = rng.sample_distinct(
+          n_obj, static_cast<std::int32_t>(rng.uniform_int(1, 2)));
+      const auto node = static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1));
+      std::vector<ObjId> ids(objs.begin(), objs.end());
+      std::sort(ids.begin(), ids.end());
+      p.txns.push_back({i, node, ids});
+      txns.push_back(txn(i, node, 0, ids));
+    }
+    Rng r(1);
+    const Time opt = exhaustive->schedule(p, r).makespan;
+    const auto lb = makespan_lower_bound(txns, origins, *net.oracle, latency);
+    SCOPED_TRACE(::testing::Message() << net.name << " iter " << it);
+    EXPECT_LE(lb.load, opt);
+    EXPECT_LE(lb.reach, opt);
+    EXPECT_LE(lb.spread, opt);
+    EXPECT_LE(lb.best(), std::max<Time>(opt, 1));
+  }
+}
 
 }  // namespace
 }  // namespace dtm

@@ -19,6 +19,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "ref/lockstep.hpp"
+#include "ref/naive_insertion.hpp"
 #include "sim/registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/workload.hpp"
@@ -97,7 +98,7 @@ TEST(ParallelEngine, GreedyMatchesGoldenPinAtEveryThreadCount) {
 // --- Bucket core: wave probing + parallel retries, golden fastpath pin ---
 
 std::uint64_t run_bucket(const Network& net, std::int32_t threads,
-                         BucketFastPath fp, Drive how = Drive::kEngine) {
+                         bool audited = false, Drive how = Drive::kEngine) {
   SyntheticOptions w;
   w.num_objects = 8;
   w.k = 2;
@@ -106,9 +107,11 @@ std::uint64_t run_bucket(const Network& net, std::int32_t threads,
   w.seed = 909;
   SyntheticWorkload wl(net, w);
   BucketOptions o;
-  o.fastpath = fp;
   o.threads = threads;
-  BucketScheduler sched(Registry::make_batch_algo("auto", net), o);
+  const auto algo = Registry::make_batch_algo("auto", net);
+  NaiveInsertion naive(algo, o.seed);
+  if (audited) o.audit = &naive;
+  BucketScheduler sched(algo, o);
   RunOptions opts;
   opts.engine.threads = threads;
   return hash_result(drive(how, net, wl, sched, opts));
@@ -120,20 +123,19 @@ TEST(ParallelEngine, BucketClusterMatchesGoldenPinAtEveryThreadCount) {
   const std::uint64_t kPin = 0x0cf2ffb9c53e06ffULL;
   const Network net = make_cluster(2, 3, 4);
   for (const std::int32_t t : thread_ladder())
-    EXPECT_EQ(run_bucket(net, t, BucketFastPath::kIncremental), kPin)
-        << "threads " << t;
+    EXPECT_EQ(run_bucket(net, t), kPin) << "threads " << t;
 }
 
-TEST(ParallelEngine, BucketLinePinHoldsAndVerifyFastPathStaysSerial) {
+TEST(ParallelEngine, BucketLinePinHoldsUnderNaiveOracleAudit) {
   const std::uint64_t kPin = 0x1476a1655424f9b0ULL;  // golden line12
   const Network net = make_line(12);
   for (const std::int32_t t : thread_ladder()) {
-    EXPECT_EQ(run_bucket(net, t, BucketFastPath::kIncremental), kPin)
-        << "threads " << t;
-    // kVerify cross-checks every probe against the naive scan; it must keep
-    // landing on the same pin with a parallel engine underneath.
-    EXPECT_EQ(run_bucket(net, t, BucketFastPath::kVerify), kPin)
-        << "verify fastpath, threads " << t;
+    EXPECT_EQ(run_bucket(net, t), kPin) << "threads " << t;
+    // The verbatim scan (tests/ref/naive_insertion) re-derives every level
+    // the wave-probing core picks; the run must keep landing on the same
+    // pin with a parallel engine underneath.
+    EXPECT_EQ(run_bucket(net, t, /*audited=*/true), kPin)
+        << "audited, threads " << t;
   }
 }
 
@@ -192,8 +194,8 @@ TEST(ParallelEngine, ScanOracleLockstepMatchesPinsAtEveryThreadCount) {
     if (t <= 1) continue;
     EXPECT_EQ(run_greedy(t, Drive::kLockstep), 0x15943e0c37a4a3deULL)
         << "threads " << t;
-    EXPECT_EQ(run_bucket(make_cluster(2, 3, 4), t,
-                         BucketFastPath::kIncremental, Drive::kLockstep),
+    EXPECT_EQ(run_bucket(make_cluster(2, 3, 4), t, /*audited=*/false,
+                         Drive::kLockstep),
               0x0cf2ffb9c53e06ffULL)
         << "threads " << t;
     EXPECT_EQ(run_dist(chaos_plan(), t, Drive::kLockstep),

@@ -3,6 +3,7 @@
 // defaults.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -131,108 +132,33 @@ TEST(Registry, SchedulerTopologySmokeMatrix) {
   }
 }
 
-TEST(Registry, BucketFastpathKnobSelectsPath) {
+// The bucket schedulers have one insertion path and one batch-math path;
+// the former `fastpath=` and `batch_math=` knobs are typos now, rejected
+// like any other unknown parameter — whatever their value.
+void expect_unknown_knob(std::initializer_list<const char*> knobs) {
   const Network net = Registry::make_network(parse_spec("clique:n=4"));
-  const auto path_of = [&](const std::string& spec) {
-    const auto s = Registry::make_scheduler(parse_spec(spec), net);
-    const auto* b = dynamic_cast<const BucketScheduler*>(s.get());
-    EXPECT_NE(b, nullptr) << spec;
-    return b->insertion_core().path();
-  };
-  EXPECT_EQ(path_of("bucket"), BucketFastPath::kIncremental);  // default: on
-  EXPECT_EQ(path_of("bucket:fastpath=off"), BucketFastPath::kNaive);
-  EXPECT_EQ(path_of("bucket:fastpath=on"), BucketFastPath::kIncremental);
-  EXPECT_EQ(path_of("bucket:fastpath=verify"), BucketFastPath::kVerify);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("bucket:fastpath=fast"), net),
-               CheckError);
-
-  const auto d =
-      Registry::make_scheduler(parse_spec("dist-bucket:fastpath=verify"), net);
-  const auto* db = dynamic_cast<const DistributedBucketScheduler*>(d.get());
-  ASSERT_NE(db, nullptr);
-  EXPECT_EQ(db->insertion_core().path(), BucketFastPath::kVerify);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("dist-bucket:fastpath=bogus"), net),
-               CheckError);
-}
-
-TEST(Registry, BatchMathKnobSelectsMode) {
-  const Network net = Registry::make_network(parse_spec("clique:n=4"));
-  const auto math_of = [&](const std::string& spec) {
-    const auto s = Registry::make_scheduler(parse_spec(spec), net);
-    const auto* b = dynamic_cast<const BucketScheduler*>(s.get());
-    EXPECT_NE(b, nullptr) << spec;
-    return b->insertion_core().math();
-  };
-  EXPECT_EQ(math_of("bucket"), BatchMathMode::kScalar);  // default: scalar
-  EXPECT_EQ(math_of("bucket:batch_math=scalar"), BatchMathMode::kScalar);
-  EXPECT_EQ(math_of("bucket:batch_math=soa"), BatchMathMode::kSoA);
-  EXPECT_EQ(math_of("bucket:batch_math=verify"), BatchMathMode::kVerify);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("bucket:batch_math=simd"), net),
-               CheckError);
-
-  const auto d = Registry::make_scheduler(
-      parse_spec("dist-bucket:batch_math=verify"), net);
-  const auto* db = dynamic_cast<const DistributedBucketScheduler*>(d.get());
-  ASSERT_NE(db, nullptr);
-  EXPECT_EQ(db->insertion_core().math(), BatchMathMode::kVerify);
-  EXPECT_THROW((void)Registry::make_scheduler(
-                   parse_spec("dist-bucket:batch_math=avx"), net),
-               CheckError);
-}
-
-TEST(Registry, BatchMathRoundTripsAndMatchesScalar) {
-  // The knob survives the RunSpec JSON round-trip (compact spec string ->
-  // JSON -> spec), and scalar/soa/verify runs of the same spec commit
-  // identical schedules.
-  RunSpec spec;
-  spec.topology = parse_spec("cluster:alpha=2,beta=2,gamma=3");
-  spec.scheduler = parse_spec("bucket:batch_math=soa");
-  spec.workload = parse_spec("synthetic:objects=6,k=2,rounds=2");
-  spec.seed = 11;
-  EXPECT_EQ(RunSpec::from_json(spec.to_json()), spec);
-
-  const RunResult soa = run_spec(spec);
-  RunSpec scalar = spec;
-  scalar.scheduler = parse_spec("bucket:batch_math=scalar");
-  const RunResult ref = run_spec(scalar);
-  RunSpec verify = spec;
-  verify.scheduler = parse_spec("bucket:batch_math=verify");
-  const RunResult chk = run_spec(verify);
-  ASSERT_EQ(soa.committed.size(), ref.committed.size());
-  ASSERT_EQ(chk.committed.size(), ref.committed.size());
-  for (std::size_t i = 0; i < soa.committed.size(); ++i) {
-    EXPECT_EQ(soa.committed[i].txn.id, ref.committed[i].txn.id);
-    EXPECT_EQ(soa.committed[i].exec, ref.committed[i].exec);
-    EXPECT_EQ(chk.committed[i].txn.id, ref.committed[i].txn.id);
-    EXPECT_EQ(chk.committed[i].exec, ref.committed[i].exec);
+  for (const char* kind : {"bucket", "dist-bucket"}) {
+    for (const char* knob : knobs) {
+      const std::string spec = std::string(kind) + ":" + knob;
+      try {
+        (void)Registry::make_scheduler(parse_spec(spec), net);
+        ADD_FAILURE() << spec << " was accepted";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown parameter"),
+                  std::string::npos)
+            << spec << ": " << e.what();
+      }
+    }
   }
-  EXPECT_EQ(soa.makespan, ref.makespan);
-  EXPECT_EQ(chk.makespan, ref.makespan);
 }
 
-TEST(Registry, BucketFastpathRoundTripsAndMatchesNaive) {
-  // The knob survives the RunSpec JSON round-trip, and the off/on runs of
-  // the same spec commit identical schedules.
-  RunSpec spec;
-  spec.topology = parse_spec("cluster:alpha=2,beta=2,gamma=3");
-  spec.scheduler = parse_spec("bucket:fastpath=on");
-  spec.workload = parse_spec("synthetic:objects=6,k=2,rounds=2");
-  spec.seed = 11;
-  EXPECT_EQ(RunSpec::from_json(spec.to_json()), spec);
+TEST(Registry, FastpathKnobIsAnUnknownParameter) {
+  expect_unknown_knob({"fastpath=on", "fastpath=off", "fastpath=verify"});
+}
 
-  const RunResult on = run_spec(spec);
-  RunSpec off = spec;
-  off.scheduler = parse_spec("bucket:fastpath=off");
-  const RunResult naive = run_spec(off);
-  ASSERT_EQ(on.committed.size(), naive.committed.size());
-  for (std::size_t i = 0; i < on.committed.size(); ++i) {
-    EXPECT_EQ(on.committed[i].txn.id, naive.committed[i].txn.id);
-    EXPECT_EQ(on.committed[i].exec, naive.committed[i].exec);
-  }
-  EXPECT_EQ(on.makespan, naive.makespan);
+TEST(Registry, BatchMathKnobIsAnUnknownParameter) {
+  expect_unknown_knob(
+      {"batch_math=scalar", "batch_math=soa", "batch_math=verify"});
 }
 
 TEST(Registry, DefaultBucketSmokeTakesIncrementalPath) {

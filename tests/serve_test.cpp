@@ -1,17 +1,25 @@
 // Serve-layer tests: the log-bucketed latency histogram against exact
 // sorted quantiles, admission-control semantics and determinism, the
 // DtmServer drain-to-quiescence zero-loss invariant, bounded committed-log
-// memory, live fault toggling, and the "serve:" spec round-trip.
+// memory, live fault toggling, the "serve:" spec round-trip, and the
+// control socket's bounds on input, connections and pending replies.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
 #include "net/topology.hpp"
 #include "serve/admission.hpp"
+#include "serve/control.hpp"
 #include "serve/latency.hpp"
 #include "serve/metrics.hpp"
 #include "serve/server.hpp"
@@ -537,6 +545,158 @@ TEST(LatencyRecorder, WindowRolloverMergesIntoCumulative) {
   EXPECT_EQ(cumulative.max(), reference.max());
   for (const double q : {0.5, 0.95, 0.99, 0.999})
     EXPECT_EQ(cumulative.quantile(q), reference.quantile(q));
+}
+
+// ---------------------------------------------------------------------------
+// ControlEndpoint
+
+std::string control_path(const char* name) {
+  return ::testing::TempDir() + "dtm_ctl_" + std::to_string(::getpid()) +
+         "_" + name + ".sock";
+}
+
+/// A non-blocking client connection to the endpoint at `path`.
+int connect_client(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0)
+      << std::strerror(errno);
+  return fd;
+}
+
+/// Everything readable on `fd` right now; `eof` reports a closed peer
+/// (end of stream or reset).
+std::string drain(int fd, bool& eof) {
+  std::string got;
+  char buf[4096];
+  eof = false;
+  while (true) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      got.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    eof = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    return got;
+  }
+}
+
+const ControlEndpoint::Handler kEcho = [](const std::string& line) {
+  return "ok " + line;
+};
+
+TEST(ControlEndpoint, AnswersOneLinePerCommand) {
+  ControlEndpoint ep(control_path("echo"));
+  const int fd = connect_client(ep.path());
+  const std::string cmds = "stats\r\n\nfault none\n";
+  ASSERT_EQ(::send(fd, cmds.data(), cmds.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(cmds.size()));
+  EXPECT_EQ(ep.poll(kEcho), 2);  // the blank line is skipped
+  bool eof = false;
+  EXPECT_EQ(drain(fd, eof), "ok stats\nok fault none\n");
+  EXPECT_FALSE(eof);
+  EXPECT_EQ(ep.open_connections(), 1u);
+  ::close(fd);
+  (void)ep.poll(kEcho);
+  EXPECT_EQ(ep.open_connections(), 0u);
+}
+
+TEST(ControlEndpoint, NewlineFreeFloodIsCappedAndClosed) {
+  // A peer streaming bytes with no newline must neither grow the buffer
+  // past the line cap nor hold poll() captive: it gets one error line and
+  // the connection is closed.
+  ControlEndpoint ep(control_path("flood"));
+  const int fd = connect_client(ep.path());
+  const std::string junk(4096, 'x');
+  std::size_t sent = 0;
+  std::string reply;
+  bool eof = false;
+  for (int round = 0; round < 512 && !eof; ++round) {
+    // Write as much as the socket takes (a newline-free stream far larger
+    // than the cap), then let the endpoint poll.
+    while (sent < (std::size_t{1} << 20)) {
+      const ssize_t n =
+          ::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(ep.poll(kEcho), 0);
+    EXPECT_LE(ep.buffered_bytes(), ControlEndpoint::kMaxLine + 4096);
+    reply += drain(fd, eof);
+  }
+  EXPECT_TRUE(eof) << "the endpoint must close the flooding connection";
+  EXPECT_EQ(ep.open_connections(), 0u);
+  EXPECT_EQ(ep.buffered_bytes(), 0u);
+  EXPECT_NE(reply.find("err command line exceeds 4096 bytes"),
+            std::string::npos)
+      << reply;
+  EXPECT_GT(sent, 4 * ControlEndpoint::kMaxLine);
+  ::close(fd);
+}
+
+TEST(ControlEndpoint, ConnectionCapRefusesExtraPeers) {
+  ControlEndpoint ep(control_path("cap"));
+  const std::size_t cap = ControlEndpoint::kMaxConns;
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < cap + 2; ++i) {
+    fds.push_back(connect_client(ep.path()));
+    (void)ep.poll(kEcho);  // accept before the listen backlog fills
+  }
+  EXPECT_EQ(ep.open_connections(), cap);
+  for (std::size_t i = cap; i < fds.size(); ++i) {
+    bool eof = false;
+    EXPECT_NE(drain(fds[i], eof).find("err too many control connections"),
+              std::string::npos);
+    EXPECT_TRUE(eof);
+  }
+  // The admitted peers are still served.
+  const std::string cmd = "stats\n";
+  ASSERT_EQ(::send(fds[1], cmd.data(), cmd.size(), MSG_NOSIGNAL), 6);
+  EXPECT_EQ(ep.poll(kEcho), 1);
+  bool eof = false;
+  EXPECT_EQ(drain(fds[1], eof), "ok stats\n");
+  // A freed slot admits a new peer.
+  ::close(fds[0]);
+  (void)ep.poll(kEcho);
+  const int late = connect_client(ep.path());
+  (void)ep.poll(kEcho);
+  EXPECT_EQ(ep.open_connections(), cap);
+  for (const int fd : fds) ::close(fd);
+  ::close(late);
+}
+
+TEST(ControlEndpoint, LargeReplyIsFinishedAcrossPolls) {
+  // A reply bigger than the socket buffer is sent in pieces on later polls
+  // instead of blocking the serve loop or being truncated; a peer that
+  // stops reading is dropped once its backlog passes kMaxPending.
+  ControlEndpoint ep(control_path("big"));
+  const std::string big(ControlEndpoint::kMaxPending * 3 / 4, 'y');
+  const ControlEndpoint::Handler handler = [&](const std::string&) {
+    return big;
+  };
+  const int fd = connect_client(ep.path());
+  ASSERT_EQ(::send(fd, "stats\n", 6, MSG_NOSIGNAL), 6);
+  EXPECT_EQ(ep.poll(handler), 1);
+  std::string got;
+  bool eof = false;
+  for (int round = 0; round < 100000 && got.size() < big.size() + 1; ++round) {
+    got += drain(fd, eof);
+    (void)ep.poll(handler);
+  }
+  EXPECT_EQ(got, big + "\n");
+  EXPECT_EQ(ep.open_connections(), 1u);
+
+  // Three more such replies, never read: the backlog passes the cap and
+  // the connection is dropped rather than buffered without bound.
+  ASSERT_EQ(::send(fd, "a\nb\nc\n", 6, MSG_NOSIGNAL), 6);
+  (void)ep.poll(handler);
+  EXPECT_EQ(ep.open_connections(), 0u);
+  ::close(fd);
 }
 
 }  // namespace
