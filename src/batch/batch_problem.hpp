@@ -55,6 +55,11 @@ struct BatchResult {
   [[nodiscard]] Time exec_of(TxnId id) const;
 };
 
+/// r.exec_of(t.id) for every t in p.txns, indexed like p.txns — one sort
+/// instead of a linear exec_of scan per transaction.
+[[nodiscard]] std::vector<Time> exec_per_txn(const BatchProblem& p,
+                                             const BatchResult& r);
+
 /// Verifies that `r` is feasible for `p` (object chains from availability,
 /// all txns assigned, exec >= now) and that makespan matches. Throws
 /// CheckError on violation — batch algorithms call this before returning.

@@ -26,13 +26,13 @@ class LocalSearchBatch final : public BatchScheduler {
     // on low-diameter graphs.
     const auto seed_algo = make_coloring_batch();
     const BatchResult seed = seed_algo->schedule(p, rng);
+    const std::vector<Time> seed_exec = exec_per_txn(p, seed);
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                       const Time ea = seed.exec_of(p.txns[a].id);
-                       const Time eb = seed.exec_of(p.txns[b].id);
-                       if (ea != eb) return ea < eb;
+                       if (seed_exec[a] != seed_exec[b])
+                         return seed_exec[a] < seed_exec[b];
                        return p.txns[a].id < p.txns[b].id;
                      });
 

@@ -6,23 +6,16 @@ namespace dtm {
 
 BatchObject object_availability(const SystemView& view, ObjId o,
                                 const ExtraAssignments& extra) {
-  auto exec_of = [&](TxnId id) -> Time {
-    const Time e = extra.find(id);
-    return e != kNoTime ? e : view.assigned_exec(id);
-  };
-
-  // Latest assigned live user pins the object.
-  TxnId pin = kNoTxn;
-  Time pin_exec = kNoTime;
-  for (const TxnId uid : view.live_users_of(o)) {
-    const Time e = exec_of(uid);
-    if (e == kNoTime) continue;  // unscheduled user: not a commitment
-    if (e > pin_exec) {
-      pin_exec = e;
-      pin = uid;
+  // Latest assigned live user pins the object. Assignments made earlier in
+  // this step (`extra`) are not in the view yet and can only raise it.
+  Assignment pin = view.latest_scheduled_user(o);
+  if (!extra.empty()) {
+    for (const TxnId uid : view.live_users_of(o)) {
+      const Time e = extra.find(uid);
+      if (e != kNoTime && e > pin.exec) pin = {uid, e};
     }
   }
-  if (pin != kNoTxn) return {o, view.txn(pin).node, pin_exec, true};
+  if (pin.txn != kNoTxn) return {o, view.txn(pin.txn).node, pin.exec, true};
 
   const ObjectState& os = view.object(o);
   if (os.in_transit()) {

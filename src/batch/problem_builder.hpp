@@ -66,8 +66,9 @@ class ExtraAssignments {
 
 /// Availability of object `o` right now: the position/time at which it runs
 /// out of commitments to scheduled transactions — the latest assigned live
-/// user if any (checking `extra` first), otherwise the object's current
-/// (possibly in-transit) position. This is the per-object kernel of
+/// user if any (the view's latest_scheduled_user, or a later one in
+/// `extra`), otherwise the object's current (possibly in-transit)
+/// position. This is the per-object kernel of
 /// build_batch_problem, exposed so the bucket fast path can refresh cached
 /// problems without rebuilding them. Callers scheduling UNSCHEDULED
 /// transactions need no "exclude our batch" filtering: unscheduled ids have

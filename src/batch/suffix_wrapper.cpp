@@ -1,47 +1,9 @@
 #include "batch/suffix_wrapper.hpp"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 
 namespace dtm {
-
-namespace {
-
-/// Indices into p.txns ordered by assigned execution time (ties by id).
-std::vector<std::size_t> exec_order(const BatchProblem& p,
-                                    const BatchResult& r) {
-  std::map<TxnId, Time> exec;
-  for (const auto& a : r.assignments) exec[a.txn] = a.exec;
-  std::vector<std::size_t> order(p.txns.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const Time ea = exec.at(p.txns[a].id);
-                     const Time eb = exec.at(p.txns[b].id);
-                     if (ea != eb) return ea < eb;
-                     return p.txns[a].id < p.txns[b].id;
-                   });
-  return order;
-}
-
-}  // namespace
-
-std::vector<BatchObject> SuffixWrapper::availability_after_prefix(
-    const BatchProblem& p, const BatchResult& r, std::size_t prefix_len) {
-  const auto order = exec_order(p, r);
-  DTM_REQUIRE(prefix_len <= order.size(), "prefix " << prefix_len);
-  std::map<ObjId, BatchObject> avail;
-  for (const auto& o : p.objects) avail[o.id] = o;
-  for (std::size_t i = 0; i < prefix_len; ++i) {
-    const BatchTxn& t = p.txns[order[i]];
-    const Time e = r.exec_of(t.id);
-    for (const ObjId o : t.objects) avail[o] = {o, t.node, e, true};
-  }
-  std::vector<BatchObject> out;
-  out.reserve(avail.size());
-  for (const auto& [_, o] : avail) out.push_back(o);
-  return out;
-}
 
 BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
   BatchResult cur = inner_->schedule(p, rng);
@@ -51,34 +13,67 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
                             ? opts_.max_inner_calls
                             : static_cast<std::int32_t>(4 * n + 8);
 
+  // Availability before any prefix, id-sorted (object ids are distinct, as
+  // ProblemBuilder and chain_evaluate's cursor lookup require).
+  std::vector<BatchObject> initial = p.objects;
+  std::sort(initial.begin(), initial.end(),
+            [](const BatchObject& a, const BatchObject& b) {
+              return a.id < b.id;
+            });
+
+  std::vector<std::size_t> order(n);
+  std::vector<Time> span(n + 1);
+  BatchProblem sub;
+  sub.oracle = p.oracle;
+  sub.latency_factor = p.latency_factor;
+  sub.now = p.now;
+
   bool changed = true;
   while (changed && budget > 0) {
     changed = false;
-    const auto order = exec_order(p, cur);
+    // One sweep per pass: the execution order, the suffix spans, and the
+    // sub-problem are computed once and advanced by one prefix txn per
+    // suffix start, instead of being rebuilt for every start.
+    std::vector<Time> exec = exec_per_txn(p, cur);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (exec[a] != exec[b]) return exec[a] < exec[b];
+      if (p.txns[a].id != p.txns[b].id) return p.txns[a].id < p.txns[b].id;
+      return a < b;
+    });
+    span[n] = 0;
+    for (std::size_t i = n; i-- > 0;)
+      span[i] = std::max(span[i + 1], exec[order[i]] - p.now);
+    sub.objects = initial;
+    sub.txns.clear();
+    for (std::size_t i = 1; i < n; ++i) sub.txns.push_back(p.txns[order[i]]);
+
     // Longest proper suffix first, as in the paper.
     for (std::size_t start = 1; start < n && budget > 0; ++start) {
-      BatchProblem sub;
-      sub.oracle = p.oracle;
-      sub.latency_factor = p.latency_factor;
-      sub.now = p.now;
-      sub.objects = availability_after_prefix(p, cur, start);
-      for (std::size_t i = start; i < n; ++i)
-        sub.txns.push_back(p.txns[order[i]]);
+      if (start > 1) sub.txns.erase(sub.txns.begin());
+      const BatchTxn& done = p.txns[order[start - 1]];
+      for (const ObjId o : done.objects) {
+        const auto it = std::lower_bound(
+            sub.objects.begin(), sub.objects.end(), o,
+            [](const BatchObject& x, ObjId v) { return x.id < v; });
+        const BatchObject moved{o, done.node, exec[order[start - 1]], true};
+        if (it != sub.objects.end() && it->id == o)
+          *it = moved;
+        else
+          sub.objects.insert(it, moved);
+      }
       --budget;
       const BatchResult redo = inner_->schedule(sub, rng);
-      Time span = 0;
-      for (std::size_t i = start; i < n; ++i)
-        span = std::max(span, cur.exec_of(p.txns[order[i]].id) - p.now);
-      if (redo.makespan < span) {
+      if (redo.makespan < span[start]) {
         // Adopt the tighter suffix schedule; prefix stays untouched.
-        std::map<TxnId, Time> exec;
-        for (const auto& a : cur.assignments) exec[a.txn] = a.exec;
-        for (const auto& a : redo.assignments) exec[a.txn] = a.exec;
+        const std::vector<Time> redo_exec = exec_per_txn(sub, redo);
+        for (std::size_t i = start; i < n; ++i)
+          exec[order[i]] = redo_exec[i - start];
         cur.assignments.clear();
         cur.makespan = 0;
-        for (const auto& t : p.txns) {
-          cur.assignments.push_back({t.id, exec.at(t.id)});
-          cur.makespan = std::max(cur.makespan, exec.at(t.id) - p.now);
+        for (std::size_t i = 0; i < n; ++i) {
+          cur.assignments.push_back({p.txns[i].id, exec[i]});
+          cur.makespan = std::max(cur.makespan, exec[i] - p.now);
         }
         check_batch_result(p, cur);
         changed = true;

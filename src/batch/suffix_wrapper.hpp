@@ -40,11 +40,6 @@ class SuffixWrapper final : public BatchScheduler {
     return inner_->randomized();
   }
 
-  /// Availability each object would have after the `prefix` transactions of
-  /// `r` (ordered by execution time) have run. Exposed for tests.
-  [[nodiscard]] static std::vector<BatchObject> availability_after_prefix(
-      const BatchProblem& p, const BatchResult& r, std::size_t prefix_len);
-
  private:
   std::shared_ptr<const BatchScheduler> inner_;
   Options opts_;

@@ -19,6 +19,12 @@
 
 namespace dtm {
 
+/// An irrevocable scheduling decision: transaction `txn` commits at `exec`.
+struct Assignment {
+  TxnId txn = kNoTxn;
+  Time exec = kNoTime;
+};
+
 /// Read-only facade over the simulation state, implemented by the engine.
 /// Centralized schedulers may use everything here (the paper's "central
 /// authority with instant knowledge"); the distributed scheduler restricts
@@ -52,16 +58,23 @@ class SystemView {
   /// rule as live_users_of.
   [[nodiscard]] virtual std::span<const TxnId> live_txns() const = 0;
 
+  /// The latest-executing scheduled live user of `o` and its execution
+  /// time — the commitment that pins the object's availability — or
+  /// {kNoTxn, kNoTime} if no live user of `o` is scheduled. This default
+  /// scans live_users_of; the engine keeps the answer per object in O(1).
+  [[nodiscard]] virtual Assignment latest_scheduled_user(ObjId o) const {
+    Assignment pin;
+    for (const TxnId uid : live_users_of(o)) {
+      const Time e = assigned_exec(uid);
+      if (e != kNoTime && e > pin.exec) pin = {uid, e};
+    }
+    return pin;
+  }
+
   /// Object travel time between nodes.
   [[nodiscard]] Time travel(NodeId u, NodeId v) const {
     return latency_factor() * oracle().dist(u, v);
   }
-};
-
-/// An irrevocable scheduling decision: transaction `txn` commits at `exec`.
-struct Assignment {
-  TxnId txn = kNoTxn;
-  Time exec = kNoTime;
 };
 
 class OnlineScheduler {

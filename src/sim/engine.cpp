@@ -44,6 +44,12 @@ std::span<const TxnId> SyncEngine::live_users_of(ObjId o) const {
   return e->users;
 }
 
+Assignment SyncEngine::latest_scheduled_user(ObjId o) const {
+  const TxnStore::ObjEntry* e = store_.find_obj(o);
+  if (e == nullptr) return {};
+  return {e->pin_user, e->pin_exec};
+}
+
 void SyncEngine::begin_step(std::span<const Transaction> arrivals) {
   const Time now = clock_.now();
   for (const Transaction& t : arrivals) {
@@ -87,6 +93,10 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
         e.best_user = a.txn;
         e.best_exec = a.exec;
         e.best_node = it->second.txn.node;
+      }
+      if (a.exec > e.pin_exec) {
+        e.pin_user = a.txn;
+        e.pin_exec = a.exec;
       }
     }
   }

@@ -64,6 +64,7 @@ class SyncEngine final : public SystemView {
   [[nodiscard]] std::span<const TxnId> live_txns() const override {
     return store_.live_ids();
   }
+  [[nodiscard]] Assignment latest_scheduled_user(ObjId o) const override;
 
   // ---- Stepping API (driven by the Runner) ----
 

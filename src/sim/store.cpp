@@ -65,6 +65,10 @@ void TxnStore::commit(std::map<TxnId, LiveTxn>::iterator it, Time exec) {
       e.best_exec = kNoTime;
       e.best_node = kNoNode;
     }
+    if (e.pin_user == id) {
+      e.pin_user = kNoTxn;
+      e.pin_exec = kNoTime;
+    }
   }
   committed_.push_back({std::move(lt.txn), exec});
   live_.erase(it);

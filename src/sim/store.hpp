@@ -42,6 +42,12 @@ class TxnStore {
   /// implies an unset cache, so the O(1) hit path needs no staleness check.
   /// The scan oracle in tests/ref/ re-derives every target by a linear scan
   /// over `users`, and the differential suites compare the two.
+  ///
+  /// pin_* is the other end: (pin_user, pin_exec) is the maximum-exec live
+  /// scheduled user (SystemView::latest_scheduled_user), or unset if none.
+  /// The engine raises it on every assignment; commit() clears it when the
+  /// pin user commits, which is exact: every other scheduled user of the
+  /// object executes earlier, so has already committed by then.
   struct ObjEntry {
     ObjId id = kNoObj;
     ObjectState state;
@@ -50,6 +56,8 @@ class TxnStore {
     TxnId best_user = kNoTxn;
     Time best_exec = kNoTime;
     NodeId best_node = kNoNode;
+    TxnId pin_user = kNoTxn;
+    Time pin_exec = kNoTime;
   };
 
   TxnStore(std::vector<ObjectOrigin> origins, const DistanceOracle& oracle);

@@ -66,7 +66,8 @@ TEST(AllocPin, BusSendDrainLoopIsAllocationFree) {
     // times now + dist repeat per slot and capacities pin after warmup.
     int pick = 0;
     const auto node = [&] {
-      return static_cast<NodeId>(((now >> (pick++ & 3)) + pick) & 7);
+      const int k = pick++;
+      return static_cast<NodeId>(((now >> (k & 3)) + k + 1) & 7);
     };
     bus.send(node(), node(), now,
              ProbeMsg{static_cast<TxnId>(now), node(), 3, 0, now, 0});

@@ -9,6 +9,7 @@
 #include "batch/batch_scheduler.hpp"
 #include "core/lower_bound.hpp"
 #include "net/topology.hpp"
+#include "ref/batch_rebuild.hpp"
 #include "util/parallel.hpp"
 
 namespace dtm {
@@ -363,6 +364,82 @@ TEST(ChainEvaluate, MatchesMapReferenceOnFuzzedProblems) {
       EXPECT_EQ(got.assignments[i].exec, ref.assignments[i].exec);
     }
   }
+}
+
+TEST(CheckBatchResult, MatchesMapOracleOnFuzzedResultsAndMutations) {
+  // The flat check against the std::map oracle: valid chain results and
+  // single mutations of them must be accepted or rejected by both alike.
+  const auto accepts = [](auto check, const BatchProblem& p,
+                          const BatchResult& r) {
+    try {
+      check(p, r);
+      return true;
+    } catch (const CheckError&) {
+      return false;
+    }
+  };
+  Rng rng(0xCBB);
+  int accepted = 0;
+  int rejected = 0;
+  for (int it = 0; it < 200; ++it) {
+    const Network net = fuzz_network(rng);
+    const BatchProblem valid_p = fuzz_problem(net, rng);
+    const BatchResult valid_r =
+        chain_evaluate(valid_p, shuffled_order(valid_p.txns.size(), rng));
+    const std::size_t n = valid_r.assignments.size();
+    const auto pick = [&](std::size_t m) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(m) - 1));
+    };
+    for (int mutation = 0; mutation <= 9; ++mutation) {
+      BatchProblem p = valid_p;
+      BatchResult r = valid_r;
+      const std::size_t i = pick(n);
+      switch (mutation) {
+        case 0:  // unchanged
+          break;
+        case 1:  // one exec a step earlier
+          --r.assignments[i].exec;
+          break;
+        case 2:  // one exec a step later, makespan kept consistent
+          ++r.assignments[i].exec;
+          r.makespan = std::max(r.makespan, r.assignments[i].exec - p.now);
+          break;
+        case 3:  // a txn assigned twice
+          r.assignments[i].txn = r.assignments[pick(n)].txn;
+          break;
+        case 4:  // a txn missing
+          r.assignments.erase(r.assignments.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+          break;
+        case 5:  // an assignment for a txn not in the problem
+          r.assignments[i].txn = 1000003;
+          break;
+        case 6:  // a txn using an object not in the problem
+          p.txns[pick(p.txns.size())].objects.push_back(999);
+          break;
+        case 7:  // exec before now
+          r.assignments[i].exec = p.now - 1;
+          break;
+        case 8:  // wrong makespan
+          r.makespan += rng.uniform_int(0, 1) == 0 ? 1 : -1;
+          break;
+        default: {  // a re-listed object: the last listing wins
+          BatchObject o = p.objects[pick(p.objects.size())];
+          o.ready += rng.uniform_int(0, 3);
+          o.from_txn = !o.from_txn;
+          p.objects.push_back(o);
+          break;
+        }
+      }
+      const bool want = accepts(map_check_batch_result, p, r);
+      const bool got = accepts(check_batch_result, p, r);
+      EXPECT_EQ(got, want) << "iter " << it << " mutation " << mutation;
+      (want ? accepted : rejected) += 1;
+    }
+  }
+  EXPECT_GT(accepted, 200);
+  EXPECT_GT(rejected, 200);
 }
 
 TEST(BatchAlgorithms, FeasibleAndDeterministicOnFuzzedProblems) {

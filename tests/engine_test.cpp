@@ -69,6 +69,36 @@ TEST_F(EngineTest, BasicCommitFlow) {
   ASSERT_EQ(e.committed().size(), 1u);
 }
 
+TEST_F(EngineTest, LatestScheduledUserPinTracksAssignmentsAndCommits) {
+  // The O(1) per-object pin against the SystemView default scan (called
+  // non-virtually) after each of the three events that move it.
+  SyncEngine e = make_engine({origin(0, 0)});
+  const auto expect_pin = [&](TxnId txn, Time exec) {
+    const Assignment pin = e.latest_scheduled_user(0);
+    const Assignment scan = e.SystemView::latest_scheduled_user(0);
+    EXPECT_EQ(pin.txn, txn);
+    EXPECT_EQ(pin.exec, exec);
+    EXPECT_EQ(scan.txn, txn);
+    EXPECT_EQ(scan.exec, exec);
+  };
+  e.begin_step({{txn(1, 2, 0, {0}), txn(2, 5, 0, {0})}});
+  expect_pin(kNoTxn, kNoTime);
+  e.apply({{Assignment{1, 2}}});
+  expect_pin(1, 2);
+  e.apply({{Assignment{2, 7}}});  // a later assignment raises the pin
+  expect_pin(2, 7);
+  e.finish_step();
+  idle_steps(e, 1);
+  e.begin_step({});
+  ASSERT_EQ(e.finish_step().size(), 1u);  // txn 1, not the pin, commits
+  expect_pin(2, 7);
+  idle_steps(e, 4);
+  e.begin_step({});
+  ASSERT_EQ(e.finish_step().size(), 1u);  // the pin user commits
+  expect_pin(kNoTxn, kNoTime);
+  EXPECT_EQ(e.latest_scheduled_user(42).txn, kNoTxn);  // unknown object
+}
+
 TEST_F(EngineTest, ApplyGuards) {
   SyncEngine e = make_engine({origin(0, 0)});
   e.begin_step({{txn(1, 0, 0, {0})}});

@@ -5,9 +5,10 @@
 // Reads (the SystemView a scheduler sees) come from the production engine.
 // Every stepping call is forwarded to both, and the wrapper DTM_CHECKs that
 // they agree: each finish_step's commits (txn, node, gen, exec, in order),
-// every object's position state after apply and after finish_step, and
-// next_exec_due after every step and on every query. A divergence throws
-// CheckError naming the step.
+// every object's position state and latest scheduled user (the engine's
+// O(1) pin against the SystemView default scan) after apply and after
+// finish_step, and next_exec_due after every step and on every query. A
+// divergence throws CheckError naming the step.
 //
 // run_lockstep is run_experiment (sim/runner.*) with the engine swapped for
 // a LockstepEngine: same fast-forward loop, same post-hoc validation, and
@@ -52,6 +53,9 @@ class LockstepEngine final : public SystemView {
   }
   [[nodiscard]] std::span<const TxnId> live_txns() const override {
     return prod_.live_txns();
+  }
+  [[nodiscard]] Assignment latest_scheduled_user(ObjId o) const override {
+    return prod_.latest_scheduled_user(o);
   }
 
   // ---- Stepping: both engines, compared ----

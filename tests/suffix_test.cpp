@@ -3,6 +3,7 @@
 
 #include "batch/suffix_wrapper.hpp"
 #include "net/topology.hpp"
+#include "ref/batch_rebuild.hpp"
 
 namespace dtm {
 namespace {
@@ -63,7 +64,7 @@ TEST(SuffixWrapper, AvailabilityAfterPrefix) {
   r.makespan = 8;
   // Prefix of length 1 = txn 1 only: object 0 moved to node 3 at time 3,
   // object 1 untouched.
-  const auto avail = SuffixWrapper::availability_after_prefix(p, r, 1);
+  const auto avail = rebuild_availability_after_prefix(p, r, 1);
   ASSERT_EQ(avail.size(), 2u);
   const auto find = [&](ObjId id) {
     for (const auto& o : avail)
@@ -102,7 +103,7 @@ TEST(SuffixWrapper, EstablishesSuffixProperty) {
       BatchProblem sub;
       sub.oracle = p.oracle;
       sub.now = p.now;
-      sub.objects = SuffixWrapper::availability_after_prefix(p, tight, start);
+      sub.objects = rebuild_availability_after_prefix(p, tight, start);
       Time span = 0;
       for (std::size_t i = start; i < order.size(); ++i) {
         sub.txns.push_back(p.txns[order[i].second]);
@@ -115,6 +116,77 @@ TEST(SuffixWrapper, EstablishesSuffixProperty) {
           << " violates the suffix property";
     }
   }
+}
+
+// Fuzzed problems: non-dense shuffled ids, availability pinned in the
+// future, latency factor 1-2, up to 14 txns over up to 6 objects.
+BatchProblem fuzz_problem(const Network& net, Rng& rng) {
+  BatchProblem p;
+  p.oracle = net.oracle.get();
+  p.latency_factor = rng.uniform_int(1, 2);
+  p.now = rng.uniform_int(0, 30);
+  const auto n_nodes = static_cast<std::int64_t>(net.num_nodes());
+  const auto n_obj = rng.uniform_int(1, 6);
+  for (ObjId o = 0; o < n_obj; ++o)
+    p.objects.push_back({o * 3 + 2,
+                         static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1)),
+                         p.now + rng.uniform_int(0, 8),
+                         rng.uniform_int(0, 2) == 0});
+  const auto n_txn = rng.uniform_int(2, 14);
+  for (TxnId t = 0; t < n_txn; ++t) {
+    const auto k = rng.uniform_int(1, std::min<std::int64_t>(3, n_obj));
+    BatchTxn bt{t * 5 + 3,
+                static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1)),
+                {}};
+    for (const auto o : rng.sample_distinct(static_cast<std::int32_t>(n_obj),
+                                            static_cast<std::int32_t>(k)))
+      bt.objects.push_back(static_cast<ObjId>(o) * 3 + 2);
+    p.txns.push_back(std::move(bt));
+  }
+  // Ids out of index order, so an index tie-break cannot pass for an id one.
+  for (std::size_t i = p.txns.size(); i > 1; --i)
+    std::swap(p.txns[i - 1],
+              p.txns[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  return p;
+}
+
+TEST(SuffixWrapper, OneSweepMatchesRebuildOracleOnFuzzedProblems) {
+  // The one-sweep wrapper against the per-start rebuild, for four inner
+  // schedulers (the cluster one randomized): same result, and the same
+  // number of draws from the shared Rng (the same inner calls).
+  const Network line = make_line(14);
+  const Network cluster = make_cluster(3, 3, 5);
+  const std::vector<std::shared_ptr<const BatchScheduler>> inners{
+      make_line_batch(), make_tsp_batch(), make_sequential_batch(),
+      make_cluster_batch(3)};
+  Rng rng(0x5AFF);
+  int tightened = 0;
+  for (int it = 0; it < 60; ++it) {
+    const Network& net = it % 2 == 0 ? line : cluster;
+    const BatchProblem p = fuzz_problem(net, rng);
+    const SuffixWrapperOptions opts{
+        static_cast<std::int32_t>(it % 3 == 0 ? rng.uniform_int(1, 6) : 0)};
+    const auto seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
+    for (const auto& inner : inners) {
+      Rng r_sweep(seed), r_rebuild(seed), r_inner(seed);
+      const BatchResult got = SuffixWrapper(inner, opts).schedule(p, r_sweep);
+      const BatchResult want =
+          RebuildSuffixWrapper(inner, opts).schedule(p, r_rebuild);
+      ASSERT_EQ(got.makespan, want.makespan) << inner->name() << " " << it;
+      ASSERT_EQ(got.assignments.size(), want.assignments.size());
+      for (std::size_t i = 0; i < got.assignments.size(); ++i) {
+        EXPECT_EQ(got.assignments[i].txn, want.assignments[i].txn);
+        EXPECT_EQ(got.assignments[i].exec, want.assignments[i].exec)
+            << inner->name() << " " << it << " txn " << got.assignments[i].txn;
+      }
+      EXPECT_EQ(r_sweep.uniform_int(0, 1 << 30),
+                r_rebuild.uniform_int(0, 1 << 30))
+          << inner->name();
+      if (got.makespan < inner->schedule(p, r_inner).makespan) ++tightened;
+    }
+  }
+  EXPECT_GT(tightened, 0) << "no fuzzed problem exercised an adoption";
 }
 
 TEST(SuffixWrapper, SingleTxnPassThrough) {

@@ -8,8 +8,8 @@
 // in simulated time; this binary adds the wall-clock skin — pacing,
 // signals, metrics dumps, and a line-oriented control socket.
 //
-//   $ ./dtm_serve --topology cluster:alpha=3,beta=4,gamma=8 \
-//         --scheduler dist-bucket --fault fault:drop=0.05 \
+//   $ ./dtm_serve --topology cluster:alpha=3,beta=4,gamma=8
+//         --scheduler dist-bucket --fault fault:drop=0.05
 //         --serve serve:rate=6,duration=8192,admit-rate=8,window=256
 //   $ ./dtm_serve --spec service.json --socket /tmp/dtm.sock --pace 2000
 //

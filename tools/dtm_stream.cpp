@@ -10,9 +10,9 @@
 // (peak log / calendar / live-set / window residency) next to the
 // throughput and windowed-ratio numbers.
 //
-//   $ ./dtm_stream --topology clique:n=64 --scheduler greedy \
+//   $ ./dtm_stream --topology clique:n=64 --scheduler greedy
 //         --stream stream:profile=adversary,rate=2,burst=32,target=200000
-//   $ ./dtm_stream --topology random:n=50000,extra=100000,routing=landmark \
+//   $ ./dtm_stream --topology random:n=50000,extra=100000,routing=landmark
 //         --scheduler greedy --stream stream:target=1000000,rate=8
 #include <fstream>
 #include <iostream>
