@@ -4,37 +4,25 @@
 
 namespace dtm {
 
-const BatchObject& BatchProblem::object(ObjId id) const {
-  const auto it =
-      std::find_if(objects.begin(), objects.end(),
-                   [id](const BatchObject& o) { return o.id == id; });
-  DTM_CHECK(it != objects.end(), "batch problem missing object " << id);
-  return *it;
-}
-
-Time BatchResult::exec_of(TxnId id) const {
-  const auto it =
-      std::find_if(assignments.begin(), assignments.end(),
-                   [id](const Assignment& a) { return a.txn == id; });
-  DTM_CHECK(it != assignments.end(), "batch result missing txn " << id);
-  return it->exec;
+void index_objects(const BatchProblem& p, IdIndex<ObjId>& index) {
+  index.reset(p.objects.size());
+  for (std::size_t i = 0; i < p.objects.size(); ++i)
+    index.slot(p.objects[i].id) = static_cast<std::int32_t>(i);
 }
 
 std::vector<Time> exec_per_txn(const BatchProblem& p, const BatchResult& r) {
-  std::vector<Assignment> by_id = r.assignments;
-  // Stable by id so the first assignment of a txn wins, as in exec_of.
-  std::stable_sort(
-      by_id.begin(), by_id.end(),
-      [](const Assignment& a, const Assignment& b) { return a.txn < b.txn; });
+  static thread_local IdIndex<TxnId> slot_of;
+  slot_of.reset(r.assignments.size());
+  for (std::size_t i = 0; i < r.assignments.size(); ++i) {
+    std::int32_t& s = slot_of.slot(r.assignments[i].txn);
+    if (s < 0) s = static_cast<std::int32_t>(i);
+  }
   std::vector<Time> out;
   out.reserve(p.txns.size());
   for (const auto& t : p.txns) {
-    const auto it = std::lower_bound(
-        by_id.begin(), by_id.end(), t.id,
-        [](const Assignment& a, TxnId id) { return a.txn < id; });
-    DTM_CHECK(it != by_id.end() && it->txn == t.id,
-              "batch result missing txn " << t.id);
-    out.push_back(it->exec);
+    const std::int32_t s = slot_of.find(t.id);
+    DTM_CHECK(s >= 0, "batch result missing txn " << t.id);
+    out.push_back(r.assignments[static_cast<std::size_t>(s)].exec);
   }
   return out;
 }
@@ -43,46 +31,33 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   DTM_CHECK(r.assignments.size() == p.txns.size(),
             "batch result has " << r.assignments.size() << " assignments for "
                                 << p.txns.size() << " txns");
-  // Sorted flat tables with thread_local scratch, like chain_evaluate's
-  // cursors: this check runs on every batch result, and the former
-  // std::map version was the largest single cost of a bucket run.
-  static thread_local std::vector<Assignment> exec;
-  exec.clear();
-  for (const auto& a : r.assignments) {
+  // Id -> slot tables with thread_local scratch, like chain_evaluate's
+  // cursors: this check runs on every batch result, so after warm-up it
+  // allocates nothing and looks every id up in O(1).
+  static thread_local IdIndex<TxnId> txn_slot;
+  txn_slot.reset(r.assignments.size());
+  for (std::size_t i = 0; i < r.assignments.size(); ++i) {
+    const Assignment& a = r.assignments[i];
     DTM_CHECK(a.exec >= p.now,
               "txn " << a.txn << " scheduled at " << a.exec << " < now "
                      << p.now);
-    exec.push_back(a);
+    std::int32_t& s = txn_slot.slot(a.txn);
+    DTM_CHECK(s < 0, "duplicate assignment for txn " << a.txn);
+    s = static_cast<std::int32_t>(i);
   }
-  std::sort(exec.begin(), exec.end(),
-            [](const Assignment& a, const Assignment& b) {
-              return a.txn < b.txn;
-            });
-  for (std::size_t i = 1; i < exec.size(); ++i)
-    DTM_CHECK(exec[i - 1].txn != exec[i].txn,
-              "duplicate assignment for txn " << exec[i].txn);
 
-  // Per-object chain feasibility from the availability point. Objects are
-  // id-sorted; of duplicate ids the last one listed wins.
+  // Per-object chain feasibility from the availability point, one cursor
+  // per listing; of duplicate ids the last one listed wins.
   struct Cursor {
-    ObjId id;
     NodeId node;
     Time free_at;
     bool from_txn;
   };
+  static thread_local IdIndex<ObjId> obj_slot;
   static thread_local std::vector<Cursor> cur;
+  index_objects(p, obj_slot);
   cur.clear();
-  for (const auto& o : p.objects)
-    cur.push_back({o.id, o.node, o.ready, o.from_txn});
-  std::stable_sort(
-      cur.begin(), cur.end(),
-      [](const Cursor& a, const Cursor& b) { return a.id < b.id; });
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < cur.size(); ++i) {
-    if (i + 1 < cur.size() && cur[i + 1].id == cur[i].id) continue;
-    cur[kept++] = cur[i];
-  }
-  cur.resize(kept);
+  for (const auto& o : p.objects) cur.push_back({o.node, o.ready, o.from_txn});
 
   // Walk the txns in (exec, id) order, so each object's cursor meets its
   // users in chain order — the per-object sort, done once for all objects.
@@ -96,13 +71,11 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   Time max_exec = p.now;
   for (std::size_t i = 0; i < p.txns.size(); ++i) {
     const TxnId id = p.txns[i].id;
-    const auto it = std::lower_bound(
-        exec.begin(), exec.end(), id,
-        [](const Assignment& a, TxnId v) { return a.txn < v; });
-    DTM_CHECK(it != exec.end() && it->txn == id,
-              "txn " << id << " not assigned");
-    max_exec = std::max(max_exec, it->exec);
-    order.push_back({it->exec, id, i});
+    const std::int32_t s = txn_slot.find(id);
+    DTM_CHECK(s >= 0, "txn " << id << " not assigned");
+    const Time e = r.assignments[static_cast<std::size_t>(s)].exec;
+    max_exec = std::max(max_exec, e);
+    order.push_back({e, id, i});
   }
   std::sort(order.begin(), order.end(), [](const Slot& a, const Slot& b) {
     if (a.exec != b.exec) return a.exec < b.exec;
@@ -112,17 +85,15 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
   for (const Slot& s : order) {
     const BatchTxn& t = p.txns[s.idx];
     for (const ObjId o : t.objects) {
-      const auto c = std::lower_bound(
-          cur.begin(), cur.end(), o,
-          [](const Cursor& x, ObjId v) { return x.id < v; });
-      DTM_CHECK(c != cur.end() && c->id == o,
-                "object " << o << " not in problem");
-      Time needed = c->free_at + p.travel(c->node, t.node);
-      if (c->from_txn) needed = std::max(needed, c->free_at + 1);
+      const std::int32_t k = obj_slot.find(o);
+      DTM_CHECK(k >= 0, "object " << o << " not in problem");
+      Cursor& c = cur[static_cast<std::size_t>(k)];
+      Time needed = c.free_at + p.travel(c.node, t.node);
+      if (c.from_txn) needed = std::max(needed, c.free_at + 1);
       DTM_CHECK(s.exec >= needed,
                 "object " << o << ": txn " << t.id << " at " << s.exec
                           << " unreachable before " << needed);
-      *c = {o, t.node, s.exec, true};
+      c = {t.node, s.exec, true};
     }
   }
   DTM_CHECK(r.makespan == max_exec - p.now,

@@ -14,6 +14,7 @@
 #include "core/scheduler.hpp"
 #include "core/types.hpp"
 #include "net/graph.hpp"
+#include "util/id_index.hpp"
 
 namespace dtm {
 
@@ -45,18 +46,19 @@ struct BatchProblem {
   [[nodiscard]] Time travel(NodeId u, NodeId v) const {
     return latency_factor * oracle->dist(u, v);
   }
-  [[nodiscard]] const BatchObject& object(ObjId id) const;
 };
 
 struct BatchResult {
   std::vector<Assignment> assignments;  ///< one per problem transaction
   Time makespan = 0;                    ///< max exec - problem.now
-
-  [[nodiscard]] Time exec_of(TxnId id) const;
 };
 
-/// r.exec_of(t.id) for every t in p.txns, indexed like p.txns — one sort
-/// instead of a linear exec_of scan per transaction.
+/// Refills `index` with object id -> position in p.objects; of an id listed
+/// twice the last listing wins. The batch walks' O(1) object lookup.
+void index_objects(const BatchProblem& p, IdIndex<ObjId>& index);
+
+/// The exec of every t in p.txns, indexed like p.txns (the first assignment
+/// of a txn listed twice wins). Throws CheckError if a txn is unassigned.
 [[nodiscard]] std::vector<Time> exec_per_txn(const BatchProblem& p,
                                              const BatchResult& r);
 

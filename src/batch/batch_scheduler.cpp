@@ -30,29 +30,23 @@ BatchResult chain_evaluate(const BatchProblem& p,
   DTM_REQUIRE(order.size() == p.txns.size(),
               "order size " << order.size() << " != " << p.txns.size());
   struct Cursor {
-    ObjId id;
     NodeId node;
     Time free_at;
     bool from_txn;
   };
-  // Flat sorted cursor table instead of a node-based map: this runs under
-  // every F_A estimate, and the per-call rebuild of a std::map used to be
-  // the single largest allocation source in the bucket schedulers. The
-  // thread_local scratch keeps the capacity across calls.
+  // One cursor per listed object, reached through an id -> slot table (the
+  // last listing of a duplicate id wins): this runs under every F_A
+  // estimate, so the thread_local scratch keeps its capacity across calls
+  // and the result's assignments are the only allocation.
+  static thread_local IdIndex<ObjId> slot_of;
   static thread_local std::vector<Cursor> cur;
+  index_objects(p, slot_of);
   cur.clear();
-  cur.reserve(p.objects.size());
-  for (const auto& o : p.objects)
-    cur.push_back({o.id, o.node, o.ready, o.from_txn});
-  std::sort(cur.begin(), cur.end(),
-            [](const Cursor& a, const Cursor& b) { return a.id < b.id; });
+  for (const auto& o : p.objects) cur.push_back({o.node, o.ready, o.from_txn});
   const auto find = [&](ObjId o) -> Cursor& {
-    const auto it = std::lower_bound(
-        cur.begin(), cur.end(), o,
-        [](const Cursor& c, ObjId v) { return c.id < v; });
-    DTM_CHECK(it != cur.end() && it->id == o,
-              "object " << o << " missing from problem");
-    return *it;
+    const std::int32_t k = slot_of.find(o);
+    DTM_CHECK(k >= 0, "object " << o << " missing from problem");
+    return cur[static_cast<std::size_t>(k)];
   };
 
   BatchResult r;
@@ -66,7 +60,7 @@ BatchResult chain_evaluate(const BatchProblem& p,
       if (c.from_txn) arrive = std::max(arrive, c.free_at + 1);
       e = std::max(e, arrive);
     }
-    for (const ObjId o : t.objects) find(o) = {o, t.node, e, true};
+    for (const ObjId o : t.objects) find(o) = {t.node, e, true};
     r.assignments.push_back({t.id, e});
     r.makespan = std::max(r.makespan, e - p.now);
   }

@@ -26,22 +26,30 @@ class ColoringBatch final : public BatchScheduler {
     // Availability floor per transaction: the object must be able to reach
     // it from its availability point. One-sided (the object simply does not
     // exist for us before `ready`), hence a floor rather than a gap.
+    index_objects(p, s.slot_of);
     s.floor.assign(n, 0);
-    s.users.clear();
+    s.user_start.assign(p.objects.size() + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
       const BatchTxn& t = p.txns[i];
       for (const ObjId o : t.objects) {
-        const BatchObject& avail = p.object(o);
+        const std::int32_t k = s.slot_of.find(o);
+        DTM_CHECK(k >= 0, "batch problem missing object " << o);
+        const BatchObject& avail = p.objects[static_cast<std::size_t>(k)];
         Time arrive = (avail.ready - p.now) + p.travel(avail.node, t.node);
         if (avail.from_txn) arrive = std::max(arrive, avail.ready - p.now + 1);
         s.floor[i] = std::max(s.floor[i], std::max<Time>(arrive, 0));
-        s.users.emplace_back(o, i);
+        ++s.user_start[static_cast<std::size_t>(k) + 1];
       }
     }
-    // Flat user lists: sorting (object, index) pairs groups each object's
-    // users contiguously in ascending index order — the same enumeration
-    // order the former per-object vectors had.
-    std::sort(s.users.begin(), s.users.end());
+    // Flat user lists by object slot (counting sort): each object's users
+    // are contiguous in ascending index order.
+    for (std::size_t k = 1; k < s.user_start.size(); ++k)
+      s.user_start[k] += s.user_start[k - 1];
+    s.fill.assign(s.user_start.begin(), s.user_start.end() - 1);
+    s.users.resize(s.user_start.back());
+    for (std::size_t i = 0; i < n; ++i)
+      for (const ObjId o : p.txns[i].objects)
+        s.users[s.fill[static_cast<std::size_t>(s.slot_of.find(o))]++] = i;
 
     // Ascending-floor visiting order (cheap transactions commit early — the
     // property the online greedy schedule also has), ties by txn id.
@@ -63,10 +71,9 @@ class ColoringBatch final : public BatchScheduler {
       s.cs.clear();
       ++tick;
       for (const ObjId o : p.txns[i].objects) {
-        auto it = std::lower_bound(
-            s.users.begin(), s.users.end(), std::pair<ObjId, std::size_t>{o, 0});
-        for (; it != s.users.end() && it->first == o; ++it) {
-          const std::size_t j = it->second;
+        const auto k = static_cast<std::size_t>(s.slot_of.find(o));
+        for (std::size_t u = s.user_start[k]; u < s.user_start[k + 1]; ++u) {
+          const std::size_t j = s.users[u];
           if (j == i || s.color[j] == kNoTime || s.seen_tick[j] == tick)
             continue;
           s.seen_tick[j] = tick;
@@ -87,8 +94,11 @@ class ColoringBatch final : public BatchScheduler {
 
  private:
   struct Scratch {
+    IdIndex<ObjId> slot_of;  ///< object id -> position in p.objects
     std::vector<Time> floor;
-    std::vector<std::pair<ObjId, std::size_t>> users;
+    std::vector<std::size_t> user_start;  ///< per slot, into `users`
+    std::vector<std::size_t> fill;
+    std::vector<std::size_t> users;  ///< txn indices grouped by slot
     std::vector<std::size_t> order;
     std::vector<Time> color;
     std::vector<ColorConstraint> cs;

@@ -8,14 +8,16 @@ BatchObject object_availability(const SystemView& view, ObjId o,
                                 const ExtraAssignments& extra) {
   // Latest assigned live user pins the object. Assignments made earlier in
   // this step (`extra`) are not in the view yet and can only raise it.
-  Assignment pin = view.latest_scheduled_user(o);
+  ScheduledUser pin = view.latest_scheduled_user(o);
   if (!extra.empty()) {
     for (const TxnId uid : view.live_users_of(o)) {
       const Time e = extra.find(uid);
-      if (e != kNoTime && e > pin.exec) pin = {uid, e};
+      if (e != kNoTime && e > pin.exec) pin = {uid, e, kNoNode};
     }
+    if (pin.txn != kNoTxn && pin.node == kNoNode)
+      pin.node = view.txn(pin.txn).node;
   }
-  if (pin.txn != kNoTxn) return {o, view.txn(pin.txn).node, pin.exec, true};
+  if (pin.txn != kNoTxn) return {o, pin.node, pin.exec, true};
 
   const ObjectState& os = view.object(o);
   if (os.in_transit()) {

@@ -14,7 +14,7 @@ BatchResult SuffixWrapper::schedule(const BatchProblem& p, Rng& rng) const {
                             : static_cast<std::int32_t>(4 * n + 8);
 
   // Availability before any prefix, id-sorted (object ids are distinct, as
-  // ProblemBuilder and chain_evaluate's cursor lookup require).
+  // ProblemBuilder emits them).
   std::vector<BatchObject> initial = p.objects;
   std::sort(initial.begin(), initial.end(),
             [](const BatchObject& a, const BatchObject& b) {

@@ -25,6 +25,14 @@ struct Assignment {
   Time exec = kNoTime;
 };
 
+/// An object's latest-executing scheduled live user: the transaction, its
+/// execution time and its home node. {kNoTxn, kNoTime, kNoNode} if none.
+struct ScheduledUser {
+  TxnId txn = kNoTxn;
+  Time exec = kNoTime;
+  NodeId node = kNoNode;
+};
+
 /// Read-only facade over the simulation state, implemented by the engine.
 /// Centralized schedulers may use everything here (the paper's "central
 /// authority with instant knowledge"); the distributed scheduler restricts
@@ -58,16 +66,18 @@ class SystemView {
   /// rule as live_users_of.
   [[nodiscard]] virtual std::span<const TxnId> live_txns() const = 0;
 
-  /// The latest-executing scheduled live user of `o` and its execution
-  /// time — the commitment that pins the object's availability — or
-  /// {kNoTxn, kNoTime} if no live user of `o` is scheduled. This default
-  /// scans live_users_of; the engine keeps the answer per object in O(1).
-  [[nodiscard]] virtual Assignment latest_scheduled_user(ObjId o) const {
-    Assignment pin;
+  /// The latest-executing scheduled live user of `o`, with its execution
+  /// time and node — the commitment that pins the object's availability —
+  /// or an unset ScheduledUser if no live user of `o` is scheduled. This
+  /// default scans live_users_of; the engine keeps the answer per object in
+  /// O(1).
+  [[nodiscard]] virtual ScheduledUser latest_scheduled_user(ObjId o) const {
+    ScheduledUser pin;
     for (const TxnId uid : live_users_of(o)) {
       const Time e = assigned_exec(uid);
-      if (e != kNoTime && e > pin.exec) pin = {uid, e};
+      if (e != kNoTime && e > pin.exec) pin = {uid, e, kNoNode};
     }
+    if (pin.txn != kNoTxn) pin.node = txn(pin.txn).node;
     return pin;
   }
 

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace dtm {
 
@@ -44,10 +43,10 @@ std::span<const TxnId> SyncEngine::live_users_of(ObjId o) const {
   return e->users;
 }
 
-Assignment SyncEngine::latest_scheduled_user(ObjId o) const {
+ScheduledUser SyncEngine::latest_scheduled_user(ObjId o) const {
   const TxnStore::ObjEntry* e = store_.find_obj(o);
   if (e == nullptr) return {};
-  return {e->pin_user, e->pin_exec};
+  return {e->pin_user, e->pin_exec, e->pin_node};
 }
 
 void SyncEngine::begin_step(std::span<const Transaction> arrivals) {
@@ -97,6 +96,7 @@ void SyncEngine::apply(std::span<const Assignment> assignments) {
       if (a.exec > e.pin_exec) {
         e.pin_user = a.txn;
         e.pin_exec = a.exec;
+        e.pin_node = it->second.txn.node;
       }
     }
   }
@@ -124,19 +124,20 @@ std::vector<SyncEngine::Commit> SyncEngine::finish_step() {
   // them, and the engine flags the other.
   std::vector<Commit> commits;
   commits.reserve(due_scratch_.size());
-  std::vector<ObjId> released;
-  std::set<ObjId> consumed_this_step;
+  std::vector<ObjId>& released = released_scratch_;
+  released.clear();
   for (const TxnId id : due_scratch_) {
     const auto lit = live.find(id);
     const TxnStore::LiveTxn& lt = lit->second;
     for (const auto& acc : lt.txn.accesses) {
+      TxnStore::ObjEntry& e = store_.obj_entry(acc.obj);
       // One commit per object per step: even two transactions on the same
       // node must serialize on a shared object (the model's conflict
       // semantics; matches validate_schedule's tie rule).
-      DTM_CHECK(consumed_this_step.insert(acc.obj).second,
+      DTM_CHECK(e.consumed_at != now,
                 "object " << acc.obj << " used by two transactions at step "
                           << now << " (txn " << id << ")");
-      TxnStore::ObjEntry& e = store_.obj_entry(acc.obj);
+      e.consumed_at = now;
       e.state.settle(now);
       DTM_CHECK(!e.state.in_transit() && e.state.at() == lt.txn.node,
                 "txn " << id << " executing at step " << now << " on node "

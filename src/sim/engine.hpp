@@ -64,7 +64,7 @@ class SyncEngine final : public SystemView {
   [[nodiscard]] std::span<const TxnId> live_txns() const override {
     return store_.live_ids();
   }
-  [[nodiscard]] Assignment latest_scheduled_user(ObjId o) const override;
+  [[nodiscard]] ScheduledUser latest_scheduled_user(ObjId o) const override;
 
   // ---- Stepping API (driven by the Runner) ----
 
@@ -140,6 +140,7 @@ class SyncEngine final : public SystemView {
 
   std::vector<TxnId> due_scratch_;
   std::vector<ObjId> reroute_scratch_;
+  std::vector<ObjId> released_scratch_;
 };
 
 }  // namespace dtm

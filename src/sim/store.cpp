@@ -20,28 +20,12 @@ TxnStore::TxnStore(std::vector<ObjectOrigin> origins,
   }
   std::sort(objects_.begin(), objects_.end(),
             [](const ObjEntry& a, const ObjEntry& b) { return a.id < b.id; });
-  for (std::size_t i = 1; i < objects_.size(); ++i)
-    DTM_CHECK(objects_[i - 1].id != objects_[i].id,
-              "duplicate object id " << objects_[i].id);
-}
-
-const TxnStore::ObjEntry* TxnStore::find_obj(ObjId o) const {
-  const auto it = std::lower_bound(
-      objects_.begin(), objects_.end(), o,
-      [](const ObjEntry& e, ObjId id) { return e.id < id; });
-  if (it == objects_.end() || it->id != o) return nullptr;
-  return &*it;
-}
-
-TxnStore::ObjEntry* TxnStore::find_obj(ObjId o) {
-  return const_cast<ObjEntry*>(
-      static_cast<const TxnStore*>(this)->find_obj(o));
-}
-
-TxnStore::ObjEntry& TxnStore::obj_entry(ObjId o) {
-  ObjEntry* e = find_obj(o);
-  DTM_REQUIRE(e != nullptr, "unknown object " << o);
-  return *e;
+  index_.reset(objects_.size());
+  for (std::size_t i = 0; i < objects_.size(); ++i) {
+    std::int32_t& slot = index_.slot(objects_[i].id);
+    DTM_CHECK(slot < 0, "duplicate object id " << objects_[i].id);
+    slot = static_cast<std::int32_t>(i);
+  }
 }
 
 void TxnStore::add_live(const Transaction& t) {
@@ -68,6 +52,7 @@ void TxnStore::commit(std::map<TxnId, LiveTxn>::iterator it, Time exec) {
     if (e.pin_user == id) {
       e.pin_user = kNoTxn;
       e.pin_exec = kNoTime;
+      e.pin_node = kNoNode;
     }
   }
   committed_.push_back({std::move(lt.txn), exec});

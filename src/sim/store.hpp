@@ -17,6 +17,7 @@
 #include "core/schedule.hpp"
 #include "net/graph.hpp"
 #include "sim/clock.hpp"
+#include "util/id_index.hpp"
 
 namespace dtm {
 
@@ -44,10 +45,14 @@ class TxnStore {
   /// over `users`, and the differential suites compare the two.
   ///
   /// pin_* is the other end: (pin_user, pin_exec) is the maximum-exec live
-  /// scheduled user (SystemView::latest_scheduled_user), or unset if none.
-  /// The engine raises it on every assignment; commit() clears it when the
-  /// pin user commits, which is exact: every other scheduled user of the
-  /// object executes earlier, so has already committed by then.
+  /// scheduled user (SystemView::latest_scheduled_user) and pin_node its
+  /// home, or unset if none. The engine raises it on every assignment;
+  /// commit() clears it when the pin user commits, which is exact: every
+  /// other scheduled user of the object executes earlier, so has already
+  /// committed by then.
+  ///
+  /// consumed_at is the last step a transaction using the object fired
+  /// (the engine's one-commit-per-object-per-step check).
   struct ObjEntry {
     ObjId id = kNoObj;
     ObjectState state;
@@ -58,15 +63,28 @@ class TxnStore {
     NodeId best_node = kNoNode;
     TxnId pin_user = kNoTxn;
     Time pin_exec = kNoTime;
+    NodeId pin_node = kNoNode;
+    Time consumed_at = kNoTime;
   };
 
   TxnStore(std::vector<ObjectOrigin> origins, const DistanceOracle& oracle);
 
   // ---- Objects ----
-  [[nodiscard]] const ObjEntry* find_obj(ObjId o) const;
-  [[nodiscard]] ObjEntry* find_obj(ObjId o);
+  /// The entry of object `o`, or null if `o` is not declared: one O(1)
+  /// lookup in the id -> index table built at construction.
+  [[nodiscard]] const ObjEntry* find_obj(ObjId o) const {
+    const std::int32_t i = index_.find(o);
+    return i < 0 ? nullptr : &objects_[static_cast<std::size_t>(i)];
+  }
+  [[nodiscard]] ObjEntry* find_obj(ObjId o) {
+    return const_cast<ObjEntry*>(std::as_const(*this).find_obj(o));
+  }
   /// Like find_obj but requires the object to exist.
-  [[nodiscard]] ObjEntry& obj_entry(ObjId o);
+  [[nodiscard]] ObjEntry& obj_entry(ObjId o) {
+    ObjEntry* e = find_obj(o);
+    DTM_REQUIRE(e != nullptr, "unknown object " << o);
+    return *e;
+  }
   [[nodiscard]] std::vector<ObjEntry>& objects() { return objects_; }
   [[nodiscard]] const std::vector<ObjEntry>& objects() const {
     return objects_;
@@ -111,6 +129,7 @@ class TxnStore {
 
  private:
   std::vector<ObjEntry> objects_;  ///< sorted by id; immutable id set
+  IdIndex<ObjId> index_;           ///< id -> position in objects_
   std::vector<ObjectOrigin> origins_;
   std::map<TxnId, LiveTxn> live_;
   std::vector<ScheduledTxn> committed_;

@@ -1,4 +1,5 @@
-// Zero-allocation regression pins for the messaging hot path (PERF.md §8).
+// Zero-allocation regression pins for the messaging hot path (PERF.md §8)
+// and the batch layer's chain walks (PERF.md §11).
 //
 // Built with -DDTM_ALLOC_TRACK=ON these tests assert, via the counting
 // operator new/delete hooks, that the steady-state send → drain loop — the
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch/batch_scheduler.hpp"
 #include "dist/bus.hpp"
 #include "net/topology.hpp"
 #include "util/alloc.hpp"
@@ -141,6 +143,71 @@ TEST(AllocPin, SpilledReplyPoolRoundTripIsAllocationFree) {
   EXPECT_EQ(scope.allocs(), 0)
       << "pooled spilled-reply loop allocated (" << scope.allocs()
       << " allocs / " << kMeasuredSteps << " steps)";
+}
+
+// A fixed batch problem of the bucket probes' shape: sparse object ids,
+// each txn using two or three of them.
+BatchProblem walk_problem(const Network& net) {
+  BatchProblem p;
+  p.oracle = net.oracle.get();
+  p.now = 5;
+  for (ObjId o = 0; o < 24; ++o)
+    p.objects.push_back({o * 9973 + 11, static_cast<NodeId>(o % 16),
+                         5 + o % 4, o % 3 == 0});
+  for (TxnId t = 0; t < 96; ++t) {
+    BatchTxn bt{t * 5 + 3, static_cast<NodeId>((t * 7) % 16), {}};
+    for (std::int64_t k = 0; k < 2 + t % 2; ++k)
+      bt.objects.push_back(p.objects[static_cast<std::size_t>(
+                                         (t * 5 + k * 7) % 24)].id);
+    p.txns.push_back(std::move(bt));
+  }
+  return p;
+}
+
+std::vector<std::size_t> reversed_order(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = n - 1 - i;
+  return order;
+}
+
+TEST(AllocPin, CheckBatchResultIsAllocationFree) {
+  // check_batch_result runs on every batch result (every F_A estimate of
+  // a bucket insertion): once its thread_local tables are warm it must not
+  // touch the allocator.
+  const Network net = make_line(16);
+  const BatchProblem p = walk_problem(net);
+  const BatchResult r = chain_evaluate(p, reversed_order(p.txns.size()));
+  check_batch_result(p, r);  // warm-up
+
+  constexpr int kCalls = 64;
+  AllocScope scope;
+  for (int i = 0; i < kCalls; ++i) check_batch_result(p, r);
+  if (!alloc_tracking_enabled())
+    GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
+  EXPECT_EQ(scope.allocs(), 0)
+      << "check_batch_result allocated (" << scope.allocs() << " allocs / "
+      << kCalls << " calls)";
+}
+
+TEST(AllocPin, ChainEvaluateAllocatesOnlyItsResult) {
+  // A validated chain walk allocates exactly once: the result's
+  // assignments. Cursors, the id -> slot tables and the check's scratch
+  // are thread_local and warm.
+  const Network net = make_line(16);
+  const BatchProblem p = walk_problem(net);
+  const std::vector<std::size_t> order = reversed_order(p.txns.size());
+  (void)chain_evaluate(p, order);  // warm-up
+
+  constexpr int kCalls = 64;
+  AllocScope scope;
+  Time sum = 0;
+  for (int i = 0; i < kCalls; ++i) sum += chain_evaluate(p, order).makespan;
+  if (!alloc_tracking_enabled())
+    GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
+  EXPECT_GT(sum, 0);
+  EXPECT_EQ(scope.allocs(), kCalls)
+      << "chain_evaluate allocated " << scope.allocs() << " times in "
+      << kCalls << " calls";
 }
 
 TEST(AllocPin, CountersAgreeWithTrackingMode) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <set>
 
@@ -10,6 +11,7 @@
 #include "core/lower_bound.hpp"
 #include "net/topology.hpp"
 #include "ref/batch_rebuild.hpp"
+#include "util/id_index.hpp"
 #include "util/parallel.hpp"
 
 namespace dtm {
@@ -27,16 +29,16 @@ BatchProblem line_problem(const Network& net) {
 TEST(BatchProblem, ObjectLookup) {
   const Network net = make_line(10);
   const BatchProblem p = line_problem(net);
-  EXPECT_EQ(p.object(1).node, 9);
-  EXPECT_THROW((void)p.object(7), CheckError);
+  EXPECT_EQ(batch_object(p, 1).node, 9);
+  EXPECT_THROW((void)batch_object(p, 7), CheckError);
   EXPECT_EQ(p.travel(0, 4), 4);
 }
 
 TEST(BatchResult, ExecLookup) {
   BatchResult r;
   r.assignments = {{1, 5}, {2, 9}};
-  EXPECT_EQ(r.exec_of(2), 9);
-  EXPECT_THROW((void)r.exec_of(3), CheckError);
+  EXPECT_EQ(exec_of(r, 2), 9);
+  EXPECT_THROW((void)exec_of(r, 3), CheckError);
 }
 
 TEST(ChainEvaluate, FollowsOrderAndChains) {
@@ -46,9 +48,9 @@ TEST(ChainEvaluate, FollowsOrderAndChains) {
   // txn1@2 gets obj0 after 2 steps; txn2@7: obj0 from node 2 (released at
   // 2) = 2+5 = 7, obj1 from 9 = 2; exec 7. txn3@4: obj1 from node 7 at 7
   // -> 7+3 = 10.
-  EXPECT_EQ(r.exec_of(1), 2);
-  EXPECT_EQ(r.exec_of(2), 7);
-  EXPECT_EQ(r.exec_of(3), 10);
+  EXPECT_EQ(exec_of(r, 1), 2);
+  EXPECT_EQ(exec_of(r, 2), 7);
+  EXPECT_EQ(exec_of(r, 3), 10);
   EXPECT_EQ(r.makespan, 10);
 }
 
@@ -56,11 +58,11 @@ TEST(ChainEvaluate, OrderMatters) {
   const Network net = make_line(10);
   const BatchProblem p = line_problem(net);
   const BatchResult r = chain_evaluate(p, {2, 1, 0});
-  EXPECT_EQ(r.exec_of(3), 5);  // obj1 travels 9 -> 4
+  EXPECT_EQ(exec_of(r, 3), 5);  // obj1 travels 9 -> 4
   // txn2 next: obj1 from 4 (at 5) -> 5+3 = 8; obj0 from 0 -> 7. exec 8.
-  EXPECT_EQ(r.exec_of(2), 8);
+  EXPECT_EQ(exec_of(r, 2), 8);
   // txn1 last: obj0 from node 7 at 8 -> 8+5 = 13.
-  EXPECT_EQ(r.exec_of(1), 13);
+  EXPECT_EQ(exec_of(r, 1), 13);
 }
 
 TEST(ChainEvaluate, RespectsReadyTimesAndFromTxn) {
@@ -71,7 +73,7 @@ TEST(ChainEvaluate, RespectsReadyTimesAndFromTxn) {
   p.objects = {{0, 3, 120, true}};
   p.txns = {{1, 3, {0}}};
   const BatchResult r = chain_evaluate(p, {0});
-  EXPECT_EQ(r.exec_of(1), 121);  // from_txn forces +1 at distance zero
+  EXPECT_EQ(exec_of(r, 1), 121);  // from_txn forces +1 at distance zero
   EXPECT_EQ(r.makespan, 21);
 }
 
@@ -190,9 +192,9 @@ TEST(LineBatch, SweepsLeftToRight) {
   Rng rng(1);
   const BatchResult r = make_line_batch()->schedule(p, rng);
   // Sweep order 1, 5, 8: execs 1, 5, 8 — a single pass.
-  EXPECT_EQ(r.exec_of(2), 1);
-  EXPECT_EQ(r.exec_of(3), 5);
-  EXPECT_EQ(r.exec_of(1), 8);
+  EXPECT_EQ(exec_of(r, 2), 1);
+  EXPECT_EQ(exec_of(r, 3), 5);
+  EXPECT_EQ(exec_of(r, 1), 8);
 }
 
 TEST(SequentialBatch, FullySerial) {
@@ -204,8 +206,8 @@ TEST(SequentialBatch, FullySerial) {
   Rng rng(1);
   const BatchResult r = make_sequential_batch()->schedule(p, rng);
   // Even independent txns never share a step.
-  EXPECT_LT(r.exec_of(1), r.exec_of(2));
-  EXPECT_LT(r.exec_of(2), r.exec_of(3));
+  EXPECT_LT(exec_of(r, 1), exec_of(r, 2));
+  EXPECT_LT(exec_of(r, 2), exec_of(r, 3));
 }
 
 TEST(ClusterStarBatch, RandomizedFlagSet) {
@@ -333,7 +335,7 @@ std::vector<std::size_t> shuffled_order(std::size_t n, Rng& rng) {
 }
 
 TEST(ChainEvaluate, MatchesMapReferenceOnFuzzedProblems) {
-  // The flat sorted-cursor table against a direct std::map transcription
+  // The slot-table cursor walk against a direct std::map transcription
   // of the object chains; chain_evaluate also validates its own output.
   Rng rng(0xC4A1);
   for (int it = 0; it < 150; ++it) {
@@ -440,6 +442,118 @@ TEST(CheckBatchResult, MatchesMapOracleOnFuzzedResultsAndMutations) {
   }
   EXPECT_GT(accepted, 200);
   EXPECT_GT(rejected, 200);
+}
+
+TEST(ChainEvaluate, SparseCollidingIdsMatchSortedOracleAndMapCheck) {
+  // Object ids spread over [0, INT32_MAX], a third of them drawn so that
+  // they share one home cell of any id table up to 4096 cells (so they
+  // collide in every table the batch walks build here), with re-listed
+  // objects (the last listing wins) and, sometimes, a txn using an object
+  // the problem does not list. chain_evaluate must match the sorted-cursor
+  // oracle — equal results, or both reject — and check_batch_result must
+  // give the map oracle's verdict on each result and two mutations of it.
+  const auto accepts = [](auto check, const BatchProblem& p,
+                          const BatchResult& r) {
+    try {
+      check(p, r);
+      return true;
+    } catch (const CheckError&) {
+      return false;
+    }
+  };
+  Rng rng(0x5BA55E);
+  IdIndex<ObjId> probe;
+  probe.reset(2048);
+  std::vector<ObjId> colliding;
+  while (colliding.size() < 12) {
+    const auto id = static_cast<ObjId>(rng.uniform_int(0, INT32_MAX));
+    if (probe.home(id) == probe.home(INT32_MAX)) colliding.push_back(id);
+  }
+  colliding.push_back(INT32_MAX);
+  int unknown = 0;
+  int relisted = 0;
+  int checks = 0;
+  for (int it = 0; it < 300; ++it) {
+    const Network net = fuzz_network(rng);
+    BatchProblem p = fuzz_problem(net, rng);
+    // Relabel the dense object ids 0..n-1 to distinct sparse ones.
+    std::map<ObjId, ObjId> sparse;
+    std::set<ObjId> used;
+    for (const BatchObject& o : p.objects) {
+      ObjId id = kNoObj;
+      while (id == kNoObj || used.count(id)) {
+        id = rng.uniform_int(0, 2) == 0
+                 ? colliding[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(colliding.size()) - 1))]
+                 : static_cast<ObjId>(rng.uniform_int(0, INT32_MAX));
+      }
+      used.insert(id);
+      sparse[o.id] = id;
+    }
+    for (BatchObject& o : p.objects) o.id = sparse[o.id];
+    for (BatchTxn& t : p.txns)
+      for (ObjId& o : t.objects) o = sparse[o];
+    std::sort(p.objects.begin(), p.objects.end(),
+              [](const BatchObject& a, const BatchObject& b) {
+                return a.id < b.id;
+              });
+    if (rng.uniform_int(0, 2) == 0) {  // re-list an object
+      BatchObject o = p.objects[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(p.objects.size()) - 1))];
+      o.ready += rng.uniform_int(0, 5);
+      o.from_txn = !o.from_txn;
+      p.objects.push_back(o);
+      ++relisted;
+    }
+    if (rng.uniform_int(0, 5) == 0) {  // a txn uses an unlisted object
+      ObjId id = colliding[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(colliding.size()) - 1))];
+      if (used.count(id)) id = static_cast<ObjId>(rng.uniform_int(0, 7)) * 3;
+      if (!used.count(id)) {
+        p.txns[static_cast<std::size_t>(rng.uniform_int(
+                   0, static_cast<std::int64_t>(p.txns.size()) - 1))]
+            .objects.push_back(id);
+        ++unknown;
+      }
+    }
+    const auto order = shuffled_order(p.txns.size(), rng);
+    bool want_ok = true;
+    BatchResult want;
+    try {
+      want = sorted_chain_evaluate(p, order);
+    } catch (const CheckError&) {
+      want_ok = false;
+    }
+    bool got_ok = true;
+    BatchResult got;
+    try {
+      got = chain_evaluate(p, order);
+    } catch (const CheckError&) {
+      got_ok = false;
+    }
+    ASSERT_EQ(got_ok, want_ok) << "iter " << it;
+    if (!got_ok) continue;
+    ASSERT_EQ(got.makespan, want.makespan) << "iter " << it;
+    ASSERT_EQ(got.assignments.size(), want.assignments.size());
+    for (std::size_t i = 0; i < got.assignments.size(); ++i) {
+      EXPECT_EQ(got.assignments[i].txn, want.assignments[i].txn);
+      EXPECT_EQ(got.assignments[i].exec, want.assignments[i].exec);
+    }
+    for (int mutation = 0; mutation < 3; ++mutation) {
+      BatchResult r = got;
+      const auto i = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(r.assignments.size()) - 1));
+      if (mutation == 1) --r.assignments[i].exec;
+      if (mutation == 2) r.assignments[i].txn = r.assignments[0].txn;
+      EXPECT_EQ(accepts(check_batch_result, p, r),
+                accepts(map_check_batch_result, p, r))
+          << "iter " << it << " mutation " << mutation;
+      ++checks;
+    }
+  }
+  EXPECT_GT(unknown, 10);
+  EXPECT_GT(relisted, 50);
+  EXPECT_GT(checks, 500);
 }
 
 TEST(BatchAlgorithms, FeasibleAndDeterministicOnFuzzedProblems) {

@@ -2,8 +2,15 @@
 // object routing (incl. redirects), and its built-in feasibility policing.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <string>
+
+#include "core/bucket_scheduler.hpp"
+#include "core/greedy_scheduler.hpp"
 #include "net/topology.hpp"
+#include "ref/lockstep.hpp"
 #include "sim/engine.hpp"
+#include "sim/runner.hpp"
 #include "test_helpers.hpp"
 
 namespace dtm {
@@ -47,6 +54,71 @@ TEST_F(EngineTest, ArrivalValidation) {
   EXPECT_THROW(e.begin_step({{empty}}), CheckError);
 }
 
+TEST_F(EngineTest, SparseObjectIdsCommitLikeDenseOnes) {
+  // Instance files may name any int32 object id. The same instance with
+  // ids {0, 7, 2^30, INT32_MAX} and with the order-preserving dense
+  // relabelling {0, 1, 2, 3} must commit the same sequence, under greedy
+  // and bucket scheduling and with the scan oracle in lockstep.
+  const ObjId sparse[] = {0, 7, 1 << 30, INT32_MAX};
+  Rng rng(0x5EA);
+  std::vector<Transaction> dense_txns;
+  for (TxnId id = 1; id <= 40; ++id) {
+    std::vector<ObjId> objs;
+    for (ObjId o = 0; o < 4; ++o)
+      if (rng.uniform_int(0, 2) == 0) objs.push_back(o);
+    if (objs.empty()) objs.push_back(static_cast<ObjId>(id % 4));
+    dense_txns.push_back(txn(id, static_cast<NodeId>(rng.uniform_int(0, 9)),
+                             rng.uniform_int(0, 30), objs));
+  }
+  const auto relabel = [&](bool to_sparse) {
+    std::vector<ObjectOrigin> origins;
+    for (ObjId o = 0; o < 4; ++o)
+      origins.push_back(origin(to_sparse ? sparse[o] : o, 3 * o));
+    std::vector<Transaction> txns = dense_txns;
+    if (to_sparse)
+      for (Transaction& t : txns)
+        for (auto& a : t.accesses) a.obj = sparse[a.obj];
+    return ScriptedWorkload(std::move(origins), std::move(txns));
+  };
+  const auto sequence = [](const RunResult& r) {
+    std::vector<std::pair<TxnId, Time>> out;
+    for (const ScheduledTxn& s : r.committed) out.emplace_back(s.txn.id, s.exec);
+    return out;
+  };
+  for (const bool bucket : {false, true}) {
+    const auto run = [&](bool to_sparse, bool lockstep) {
+      ScriptedWorkload wl = relabel(to_sparse);
+      std::unique_ptr<OnlineScheduler> sched;
+      if (bucket)
+        sched = std::make_unique<BucketScheduler>(
+            std::shared_ptr<const BatchScheduler>(make_coloring_batch()));
+      else
+        sched = std::make_unique<GreedyScheduler>();
+      return sequence(lockstep ? run_lockstep(net_, wl, *sched, {})
+                               : run_experiment(net_, wl, *sched));
+    };
+    const auto dense = run(false, false);
+    ASSERT_EQ(dense.size(), dense_txns.size());
+    EXPECT_EQ(run(true, false), dense) << (bucket ? "bucket" : "greedy");
+    EXPECT_EQ(run(true, true), dense) << (bucket ? "bucket" : "greedy");
+  }
+
+  // An access to an undeclared id is still a clean error.
+  SyncEngine e(net_.oracle,
+               {origin(0, 0), origin(7, 1), origin(1 << 30, 2),
+                origin(INT32_MAX, 3)},
+               {});
+  try {
+    e.begin_step({{txn(1, 2, 0, {7, 8})}});
+    FAIL() << "undeclared object 8 accepted";
+  } catch (const CheckError& err) {
+    EXPECT_NE(std::string(err.what()).find("requests unknown object 8"),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(e.num_live(), 0);
+}
+
 TEST_F(EngineTest, BasicCommitFlow) {
   SyncEngine e = make_engine({origin(0, 0)});
   e.begin_step({{txn(1, 4, 0, {0})}});
@@ -73,29 +145,31 @@ TEST_F(EngineTest, LatestScheduledUserPinTracksAssignmentsAndCommits) {
   // The O(1) per-object pin against the SystemView default scan (called
   // non-virtually) after each of the three events that move it.
   SyncEngine e = make_engine({origin(0, 0)});
-  const auto expect_pin = [&](TxnId txn, Time exec) {
-    const Assignment pin = e.latest_scheduled_user(0);
-    const Assignment scan = e.SystemView::latest_scheduled_user(0);
+  const auto expect_pin = [&](TxnId txn, Time exec, NodeId node) {
+    const ScheduledUser pin = e.latest_scheduled_user(0);
+    const ScheduledUser scan = e.SystemView::latest_scheduled_user(0);
     EXPECT_EQ(pin.txn, txn);
     EXPECT_EQ(pin.exec, exec);
+    EXPECT_EQ(pin.node, node);
     EXPECT_EQ(scan.txn, txn);
     EXPECT_EQ(scan.exec, exec);
+    EXPECT_EQ(scan.node, node);
   };
   e.begin_step({{txn(1, 2, 0, {0}), txn(2, 5, 0, {0})}});
-  expect_pin(kNoTxn, kNoTime);
+  expect_pin(kNoTxn, kNoTime, kNoNode);
   e.apply({{Assignment{1, 2}}});
-  expect_pin(1, 2);
+  expect_pin(1, 2, 2);
   e.apply({{Assignment{2, 7}}});  // a later assignment raises the pin
-  expect_pin(2, 7);
+  expect_pin(2, 7, 5);
   e.finish_step();
   idle_steps(e, 1);
   e.begin_step({});
   ASSERT_EQ(e.finish_step().size(), 1u);  // txn 1, not the pin, commits
-  expect_pin(2, 7);
+  expect_pin(2, 7, 5);
   idle_steps(e, 4);
   e.begin_step({});
   ASSERT_EQ(e.finish_step().size(), 1u);  // the pin user commits
-  expect_pin(kNoTxn, kNoTime);
+  expect_pin(kNoTxn, kNoTime, kNoNode);
   EXPECT_EQ(e.latest_scheduled_user(42).txn, kNoTxn);  // unknown object
 }
 

@@ -9,6 +9,7 @@
 
 #include "batch/batch_scheduler.hpp"
 #include "net/topology.hpp"
+#include "ref/batch_rebuild.hpp"
 
 namespace dtm {
 namespace {
@@ -27,7 +28,8 @@ std::vector<NodeId> visiting_order(const Network& net,
   Rng rng(seed);
   const BatchResult r = algo.schedule(p, rng);
   std::vector<std::pair<Time, NodeId>> by_exec;
-  for (const auto& t : p.txns) by_exec.emplace_back(r.exec_of(t.id), t.node);
+  for (const auto& t : p.txns)
+    by_exec.emplace_back(exec_of(r, t.id), t.node);
   std::sort(by_exec.begin(), by_exec.end());
   std::vector<NodeId> order;
   for (const auto& [_, n] : by_exec) order.push_back(n);
@@ -145,8 +147,8 @@ TEST(OrderPolicy, TspNearestNeighborStartsNearObject) {
   p.txns = {{1, 2, {0}}, {2, 9, {0}}, {3, 18, {0}}};
   Rng rng(1);
   const BatchResult r = make_tsp_batch()->schedule(p, rng);
-  EXPECT_LT(r.exec_of(2), r.exec_of(1));
-  EXPECT_LT(r.exec_of(2), r.exec_of(3));
+  EXPECT_LT(exec_of(r, 2), exec_of(r, 1));
+  EXPECT_LT(exec_of(r, 2), exec_of(r, 3));
 }
 
 }  // namespace

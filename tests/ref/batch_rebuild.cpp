@@ -5,6 +5,70 @@
 
 namespace dtm {
 
+const BatchObject& batch_object(const BatchProblem& p, ObjId id) {
+  const auto it =
+      std::find_if(p.objects.begin(), p.objects.end(),
+                   [id](const BatchObject& o) { return o.id == id; });
+  DTM_CHECK(it != p.objects.end(), "batch problem missing object " << id);
+  return *it;
+}
+
+Time exec_of(const BatchResult& r, TxnId id) {
+  const auto it =
+      std::find_if(r.assignments.begin(), r.assignments.end(),
+                   [id](const Assignment& a) { return a.txn == id; });
+  DTM_CHECK(it != r.assignments.end(), "batch result missing txn " << id);
+  return it->exec;
+}
+
+BatchResult sorted_chain_evaluate(const BatchProblem& p,
+                                  const std::vector<std::size_t>& order) {
+  DTM_REQUIRE(order.size() == p.txns.size(),
+              "order size " << order.size() << " != " << p.txns.size());
+  struct Cursor {
+    ObjId id;
+    NodeId node;
+    Time free_at;
+    bool from_txn;
+  };
+  std::vector<Cursor> cur;
+  for (const auto& o : p.objects)
+    cur.push_back({o.id, o.node, o.ready, o.from_txn});
+  std::stable_sort(
+      cur.begin(), cur.end(),
+      [](const Cursor& a, const Cursor& b) { return a.id < b.id; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < cur.size(); ++i) {
+    if (i + 1 < cur.size() && cur[i + 1].id == cur[i].id) continue;
+    cur[kept++] = cur[i];
+  }
+  cur.resize(kept);
+  const auto find = [&](ObjId o) -> Cursor& {
+    const auto it = std::lower_bound(
+        cur.begin(), cur.end(), o,
+        [](const Cursor& c, ObjId v) { return c.id < v; });
+    DTM_CHECK(it != cur.end() && it->id == o,
+              "object " << o << " missing from problem");
+    return *it;
+  };
+
+  BatchResult r;
+  for (const std::size_t idx : order) {
+    const BatchTxn& t = p.txns[idx];
+    Time e = p.now;
+    for (const ObjId o : t.objects) {
+      const Cursor& c = find(o);
+      Time arrive = c.free_at + p.travel(c.node, t.node);
+      if (c.from_txn) arrive = std::max(arrive, c.free_at + 1);
+      e = std::max(e, arrive);
+    }
+    for (const ObjId o : t.objects) find(o) = {o, t.node, e, true};
+    r.assignments.push_back({t.id, e});
+    r.makespan = std::max(r.makespan, e - p.now);
+  }
+  return r;
+}
+
 void map_check_batch_result(const BatchProblem& p, const BatchResult& r) {
   DTM_CHECK(r.assignments.size() == p.txns.size(),
             "batch result has " << r.assignments.size() << " assignments for "
@@ -85,7 +149,7 @@ std::vector<BatchObject> rebuild_availability_after_prefix(
   for (const auto& o : p.objects) avail[o.id] = o;
   for (std::size_t i = 0; i < prefix_len; ++i) {
     const BatchTxn& t = p.txns[order[i]];
-    const Time e = r.exec_of(t.id);
+    const Time e = exec_of(r, t.id);
     for (const ObjId o : t.objects) avail[o] = {o, t.node, e, true};
   }
   std::vector<BatchObject> out;
@@ -119,7 +183,7 @@ BatchResult RebuildSuffixWrapper::schedule(const BatchProblem& p,
       const BatchResult redo = inner_->schedule(sub, rng);
       Time span = 0;
       for (std::size_t i = start; i < n; ++i)
-        span = std::max(span, cur.exec_of(p.txns[order[i]].id) - p.now);
+        span = std::max(span, exec_of(cur, p.txns[order[i]].id) - p.now);
       if (redo.makespan < span) {
         std::map<TxnId, Time> exec;
         for (const auto& a : cur.assignments) exec[a.txn] = a.exec;

@@ -1,7 +1,13 @@
-// Map-based and rebuild-per-start reference versions of the batch layer's
-// validity check and suffix wrapper, kept as differential oracles for the
-// flat production code (batch/batch_problem.cpp, batch/suffix_wrapper.cpp).
+// Map-based, sorted-table and rebuild-per-start reference versions of the
+// batch layer's chain walk, validity check and suffix wrapper, kept as
+// differential oracles for the production code (batch/batch_problem.cpp,
+// batch/batch_scheduler.cpp, batch/suffix_wrapper.cpp).
 //
+//  - batch_object / exec_of: linear id lookups (first match) for tests that
+//    check hand-built problems and results.
+//  - sorted_chain_evaluate: chain_evaluate over an id-sorted cursor table
+//    with a binary search per access (of duplicate object ids the last one
+//    listed wins). Must return exactly what chain_evaluate returns.
 //  - map_check_batch_result: check_batch_result over std::map tables
 //    (txn -> exec, obj -> cursor, obj -> users). Must accept and reject
 //    exactly the inputs the production check does.
@@ -19,6 +25,13 @@
 #include "batch/suffix_wrapper.hpp"
 
 namespace dtm {
+
+[[nodiscard]] const BatchObject& batch_object(const BatchProblem& p,
+                                              ObjId id);
+[[nodiscard]] Time exec_of(const BatchResult& r, TxnId id);
+
+[[nodiscard]] BatchResult sorted_chain_evaluate(
+    const BatchProblem& p, const std::vector<std::size_t>& order);
 
 void map_check_batch_result(const BatchProblem& p, const BatchResult& r);
 

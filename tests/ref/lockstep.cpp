@@ -77,14 +77,16 @@ void LockstepEngine::compare_objects(const char* phase) const {
       same = got.at() == want.at();
     DTM_CHECK(same, "lockstep: object " << e.id << " diverges after " << phase
                                         << " at step " << ref_.now());
-    const Assignment pin = prod_.latest_scheduled_user(e.id);
-    const Assignment want_pin = ref_.latest_scheduled_user(e.id);
-    DTM_CHECK(pin.txn == want_pin.txn && pin.exec == want_pin.exec,
+    const ScheduledUser pin = prod_.latest_scheduled_user(e.id);
+    const ScheduledUser want_pin = ref_.latest_scheduled_user(e.id);
+    DTM_CHECK(pin.txn == want_pin.txn && pin.exec == want_pin.exec &&
+                  pin.node == want_pin.node,
               "lockstep: object " << e.id << " latest scheduled user "
-                                  << pin.txn << "@" << pin.exec
-                                  << ", scan oracle " << want_pin.txn << "@"
-                                  << want_pin.exec << " after " << phase
-                                  << " at step " << ref_.now());
+                                  << pin.txn << "@" << pin.exec << " on node "
+                                  << pin.node << ", scan oracle "
+                                  << want_pin.txn << "@" << want_pin.exec
+                                  << " on node " << want_pin.node << " after "
+                                  << phase << " at step " << ref_.now());
   }
 }
 

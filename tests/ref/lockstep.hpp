@@ -54,7 +54,7 @@ class LockstepEngine final : public SystemView {
   [[nodiscard]] std::span<const TxnId> live_txns() const override {
     return prod_.live_txns();
   }
-  [[nodiscard]] Assignment latest_scheduled_user(ObjId o) const override {
+  [[nodiscard]] ScheduledUser latest_scheduled_user(ObjId o) const override {
     return prod_.latest_scheduled_user(o);
   }
 

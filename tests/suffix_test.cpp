@@ -97,7 +97,7 @@ TEST(SuffixWrapper, EstablishesSuffixProperty) {
     // Order by exec; for each suffix compare span to a fresh inner run.
     std::vector<std::pair<Time, std::size_t>> order;
     for (std::size_t i = 0; i < p.txns.size(); ++i)
-      order.emplace_back(tight.exec_of(p.txns[i].id), i);
+      order.emplace_back(exec_of(tight, p.txns[i].id), i);
     std::sort(order.begin(), order.end());
     for (std::size_t start = 1; start < p.txns.size(); ++start) {
       BatchProblem sub;
@@ -197,7 +197,7 @@ TEST(SuffixWrapper, SingleTxnPassThrough) {
   p.txns = {{1, 5, {0}}};
   Rng rng(1);
   const SuffixWrapper w(make_coloring_batch());
-  EXPECT_EQ(w.schedule(p, rng).exec_of(1), 5);
+  EXPECT_EQ(exec_of(w.schedule(p, rng), 1), 5);
 }
 
 }  // namespace

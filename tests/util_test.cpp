@@ -1,10 +1,14 @@
-// Tests for util/: checked asserts, RNG, statistics, tables, JSON.
+// Tests for util/: checked asserts, RNG, statistics, tables, JSON, the
+// id -> slot table.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <map>
 #include <set>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/id_index.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -225,6 +229,74 @@ TEST(Json, NestingUpToTheCapParses) {
   const Json j = Json::parse(nested(Json::kMaxDepth));
   EXPECT_TRUE(j.is_array());
   EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1)), CheckError);
+}
+
+TEST(IdIndex, FindsInsertedIdsAndMissesOthers) {
+  IdIndex<std::int32_t> idx;
+  EXPECT_EQ(idx.find(0), -1);  // usable before the first reset
+  idx.reset(4);
+  const std::int32_t ids[] = {0, 7, 1 << 30, INT32_MAX};
+  for (std::int32_t i = 0; i < 4; ++i) idx.slot(ids[i]) = i;
+  for (std::int32_t i = 0; i < 4; ++i) EXPECT_EQ(idx.find(ids[i]), i);
+  EXPECT_EQ(idx.size(), 4u);
+  EXPECT_EQ(idx.find(1), -1);
+  EXPECT_EQ(idx.find(-1), -1);
+  idx.slot(7) = 9;  // writing an existing id overwrites its slot
+  EXPECT_EQ(idx.find(7), 9);
+  EXPECT_EQ(idx.slot(8), -1);  // an absent id is inserted with slot -1
+  EXPECT_EQ(idx.size(), 5u);
+}
+
+TEST(IdIndex, ResetForgetsEverythingWithoutShrinking) {
+  IdIndex<std::int64_t> idx;
+  idx.reset(100);
+  const std::size_t cap = idx.capacity();
+  EXPECT_GE(cap, 200u);
+  for (std::int64_t id = 0; id < 100; ++id)
+    idx.slot(id * 1000003) = static_cast<std::int32_t>(id);
+  for (int round = 0; round < 3; ++round) {
+    idx.reset(10);
+    EXPECT_EQ(idx.capacity(), cap);
+    EXPECT_EQ(idx.size(), 0u);
+    for (std::int64_t id = 0; id < 100; ++id)
+      EXPECT_EQ(idx.find(id * 1000003), -1);
+    idx.slot(3) = round;
+    EXPECT_EQ(idx.find(3), round);
+  }
+}
+
+TEST(IdIndex, CollidingIdsMatchAMap) {
+  // Ids sharing one home cell probe past each other, among hundreds of
+  // random ones; a std::map is the reference. Inserting more ids than
+  // reset() made room for is a clean error, not a full table.
+  IdIndex<std::int32_t> idx;
+  idx.reset(600);
+  const std::size_t home = idx.home(0);
+  std::vector<std::int32_t> colliding;
+  Rng rng(0x1D1D);
+  while (colliding.size() < 6) {
+    const auto id = static_cast<std::int32_t>(rng.uniform_int(0, INT32_MAX));
+    if (idx.home(id) == home) colliding.push_back(id);
+  }
+  std::map<std::int32_t, std::int32_t> ref;
+  std::int32_t next = 0;
+  for (const std::int32_t id : colliding) ref[id] = idx.slot(id) = next++;
+  for (int i = 0; i < 500; ++i) {
+    const auto id = static_cast<std::int32_t>(rng.uniform_int(0, INT32_MAX));
+    idx.slot(id) = next;
+    ref[id] = next++;
+  }
+  EXPECT_EQ(idx.size(), ref.size());
+  for (const auto& [id, slot] : ref) EXPECT_EQ(idx.find(id), slot);
+  for (int i = 0; i < 500; ++i) {
+    const auto id = static_cast<std::int32_t>(rng.uniform_int(0, INT32_MAX));
+    EXPECT_EQ(idx.find(id), ref.count(id) ? ref[id] : -1);
+  }
+
+  idx.reset(8);
+  while (idx.size() < idx.capacity() / 2) (void)idx.slot(-next++);
+  EXPECT_THROW((void)idx.slot(1), CheckError);
+  EXPECT_EQ(idx.find(1), -1);
 }
 
 }  // namespace
