@@ -28,6 +28,13 @@ std::vector<Time> exec_per_txn(const BatchProblem& p, const BatchResult& r) {
 }
 
 void check_batch_result(const BatchProblem& p, const BatchResult& r) {
+  static thread_local IdIndex<ObjId> obj_slot;
+  index_objects(p, obj_slot);
+  detail::check_batch_result(p, r, obj_slot);
+}
+
+void detail::check_batch_result(const BatchProblem& p, const BatchResult& r,
+                                const IdIndex<ObjId>& obj_slot) {
   DTM_CHECK(r.assignments.size() == p.txns.size(),
             "batch result has " << r.assignments.size() << " assignments for "
                                 << p.txns.size() << " txns");
@@ -53,9 +60,7 @@ void check_batch_result(const BatchProblem& p, const BatchResult& r) {
     Time free_at;
     bool from_txn;
   };
-  static thread_local IdIndex<ObjId> obj_slot;
   static thread_local std::vector<Cursor> cur;
-  index_objects(p, obj_slot);
   cur.clear();
   for (const auto& o : p.objects) cur.push_back({o.node, o.ready, o.from_txn});
 

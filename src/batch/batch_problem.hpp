@@ -67,4 +67,12 @@ void index_objects(const BatchProblem& p, IdIndex<ObjId>& index);
 /// CheckError on violation — batch algorithms call this before returning.
 void check_batch_result(const BatchProblem& p, const BatchResult& r);
 
+namespace detail {
+/// The same check with `obj_slot` already filled by index_objects(p, ·):
+/// a validated chain_evaluate shares its one fill with the check. In
+/// namespace detail so that `dtm::check_batch_result` stays one function.
+void check_batch_result(const BatchProblem& p, const BatchResult& r,
+                        const IdIndex<ObjId>& obj_slot);
+}  // namespace detail
+
 }  // namespace dtm

@@ -64,7 +64,7 @@ BatchResult chain_evaluate(const BatchProblem& p,
     r.assignments.push_back({t.id, e});
     r.makespan = std::max(r.makespan, e - p.now);
   }
-  if (validate) check_batch_result(p, r);
+  if (validate) detail::check_batch_result(p, r, slot_of);
   return r;
 }
 

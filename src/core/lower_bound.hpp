@@ -10,6 +10,14 @@
 //   reach:  every user of an object must wait for it to arrive from its
 //           origin at least once;
 //   spread: the object must visit both endpoints of its farthest user pair.
+//
+// The bound runs over a flat buffer of (object, user node) uses, grouped
+// per object by a stable counting sort: O(uses + origins) plus the spread
+// loop, allocation-free once warm. The spread pairs the *distinct* nodes
+// among each object's sampled users and stops at the ceiling
+// created + latency_factor * diameter(), skipping objects already at it.
+// Both cuts are exact: the result equals the all-pairs map version's
+// (tests/ref/lower_bound.*) on every input.
 #pragma once
 
 #include <span>
@@ -31,10 +39,23 @@ struct LowerBoundBreakdown {
   }
 };
 
-/// Lower bound for executing all of `txns` given object `origins`, measured
-/// from time 0 (origins' creation times shift the certificates). For
-/// dynamic instances this is a valid bound on the optimal offline makespan
-/// of the whole arrival sequence started at time 0.
+/// One use of an object: a transaction at `node` requests `obj`.
+struct ObjectUse {
+  ObjId obj = kNoObj;
+  NodeId node = kNoNode;
+};
+
+/// Lower bound for executing the transactions behind `uses` given object
+/// `origins` (of a duplicate id the last one listed wins), measured from
+/// time 0 (origins' creation times shift the certificates). For dynamic
+/// instances this is a valid bound on the optimal offline makespan of the
+/// whole arrival sequence started at time 0. A used object with no origin
+/// is a CheckError naming the smallest such id.
+[[nodiscard]] LowerBoundBreakdown makespan_lower_bound(
+    std::span<const ObjectUse> uses, std::span<const ObjectOrigin> origins,
+    const DistanceOracle& oracle, std::int64_t latency_factor = 1);
+
+/// The same bound over the accesses of `txns`, in order.
 [[nodiscard]] LowerBoundBreakdown makespan_lower_bound(
     const std::vector<Transaction>& txns,
     const std::vector<ObjectOrigin>& origins, const DistanceOracle& oracle,

@@ -78,7 +78,10 @@ class DistanceOracle {
   /// Shortest-path distance between u and v in G.
   [[nodiscard]] virtual Weight dist(NodeId u, NodeId v) const = 0;
 
-  /// Graph diameter (max over pairs of dist). May be precomputed.
+  /// Graph diameter (max over pairs of dist), or an upper bound on it. The
+  /// contract is that it is >= every value dist() returns: the lower
+  /// bound's spread cut-off (core/lower_bound.cpp) relies on it. May be
+  /// precomputed.
   [[nodiscard]] virtual Weight diameter() const = 0;
 
   [[nodiscard]] virtual NodeId num_nodes() const = 0;

@@ -33,20 +33,25 @@ struct WindowTracker {
   void finalize(RunResult& r, const std::vector<ScheduledTxn>& committed,
                 const DistanceOracle& oracle, std::int64_t latency_factor) {
     if (window <= 0 || snapshots.empty()) return;
-    std::vector<std::vector<Transaction>> per_window(snapshots.size());
+    // Per window: its transactions' (object, node) uses and how many
+    // transactions it holds (a window is rated iff it holds any).
+    std::vector<std::vector<ObjectUse>> uses(snapshots.size());
+    std::vector<std::int64_t> txns(snapshots.size(), 0);
     std::vector<Time> worst_latency(snapshots.size(), 0);
     for (const auto& s : committed) {
       const auto w = static_cast<std::size_t>(
           std::min<Time>(s.txn.gen_time / window,
                          static_cast<Time>(snapshots.size()) - 1));
-      per_window[w].push_back(s.txn);
+      for (const auto& a : s.txn.accesses)
+        uses[w].push_back({a.obj, s.txn.node});
+      ++txns[w];
       worst_latency[w] =
           std::max(worst_latency[w], s.exec - s.txn.gen_time);
     }
     for (std::size_t w = 0; w < snapshots.size(); ++w) {
-      if (per_window[w].empty()) continue;
-      const auto lb = makespan_lower_bound(per_window[w], snapshots[w],
-                                           oracle, latency_factor);
+      if (txns[w] == 0) continue;
+      const auto lb = makespan_lower_bound(uses[w], snapshots[w], oracle,
+                                           latency_factor);
       r.windowed_ratio = std::max(
           r.windowed_ratio, static_cast<double>(worst_latency[w]) /
                                 static_cast<double>(lb.best()));

@@ -55,12 +55,11 @@ void StreamingRatioTracker::on_arrival(const Transaction& txn, Time now) {
   const std::int64_t idx = now / window_;
   const auto it = open_.find(idx);
   if (it == open_.end()) return;  // sampled out
-  Transaction t = txn;
-  t.gen_time = now - idx * window_;  // window-relative, like the snapshot
-  it->second.txns.push_back(std::move(t));
-  ++it->second.outstanding;
-  peak_txns_ = std::max(
-      peak_txns_, static_cast<std::int64_t>(it->second.txns.size()));
+  Win& w = it->second;
+  for (const auto& a : txn.accesses) w.uses.push_back({a.obj, txn.node});
+  ++w.arrivals;
+  ++w.outstanding;
+  peak_txns_ = std::max(peak_txns_, w.arrivals);
 }
 
 void StreamingRatioTracker::on_commit(TxnId /*id*/, Time gen, Time exec) {
@@ -89,9 +88,9 @@ void StreamingRatioTracker::finish() {
 }
 
 void StreamingRatioTracker::finalize(std::int64_t /*idx*/, Win& w) {
-  if (w.txns.empty()) return;  // idle window: nothing to rate
+  if (w.arrivals == 0) return;  // idle window: nothing to rate
   const auto lb =
-      makespan_lower_bound(w.txns, w.snapshot, oracle_, latency_factor_);
+      makespan_lower_bound(w.uses, w.snapshot, oracle_, latency_factor_);
   const double ratio = static_cast<double>(w.worst_latency) /
                        static_cast<double>(std::max<Time>(lb.best(), 1));
   ratio_max_ = std::max(ratio_max_, ratio);

@@ -6,12 +6,14 @@
 // proportional to the run. A streaming run commits millions of
 // transactions, so the same Definition-1 proxy is computed incrementally:
 // each tracked window snapshots object positions at its start, buffers only
-// its own arrivals (window-relative gen_times), folds commits into a
-// worst-latency watermark, and is finalized — one makespan_lower_bound
-// call, two OnlineStats adds — and FREED as soon as it is closed and its
-// last arrival has committed. Peak resident state is a handful of windows
-// (the commit latency tail), independent of run length; `ratio_every`
-// samples windows when even that transient is too large at extreme rates.
+// its own arrivals' (object, node) uses plus an arrival count, folds commits
+// into a worst-latency watermark, and is finalized — one
+// makespan_lower_bound call over the uses buffer, two OnlineStats adds —
+// and FREED as soon as it is closed and its last arrival has committed. A
+// window with arrivals is rated even if none of them requests an object.
+// Peak resident state is a handful of windows (the commit latency tail),
+// independent of run length; `ratio_every` samples windows when even that
+// transient is too large at extreme rates.
 #pragma once
 
 #include <cstdint>
@@ -59,13 +61,14 @@ class StreamingRatioTracker {
   [[nodiscard]] const OnlineStats& ratio_stats() const { return ratios_; }
   /// High-water mark of simultaneously resident tracked windows.
   [[nodiscard]] std::int64_t peak_open_windows() const { return peak_open_; }
-  /// Largest arrival buffer any tracked window held.
+  /// Most arrivals any tracked window held (arrivals, not uses).
   [[nodiscard]] std::int64_t peak_window_txns() const { return peak_txns_; }
 
  private:
   struct Win {
-    std::vector<Transaction> txns;        ///< window-relative gen_times
+    std::vector<ObjectUse> uses;          ///< its arrivals' accesses
     std::vector<ObjectOrigin> snapshot;   ///< positions at window start
+    std::int64_t arrivals = 0;
     Time worst_latency = 0;
     std::int64_t outstanding = 0;  ///< arrivals not yet committed
     bool closed = false;           ///< a later window has opened

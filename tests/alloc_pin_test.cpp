@@ -1,5 +1,6 @@
-// Zero-allocation regression pins for the messaging hot path (PERF.md §8)
-// and the batch layer's chain walks (PERF.md §11).
+// Zero-allocation regression pins for the messaging hot path (PERF.md §8),
+// the batch layer's chain walks (PERF.md §11) and the ratio windows' lower
+// bound (PERF.md §12).
 //
 // Built with -DDTM_ALLOC_TRACK=ON these tests assert, via the counting
 // operator new/delete hooks, that the steady-state send → drain loop — the
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "batch/batch_scheduler.hpp"
+#include "core/lower_bound.hpp"
 #include "dist/bus.hpp"
 #include "net/topology.hpp"
 #include "util/alloc.hpp"
@@ -208,6 +210,37 @@ TEST(AllocPin, ChainEvaluateAllocatesOnlyItsResult) {
   EXPECT_EQ(scope.allocs(), kCalls)
       << "chain_evaluate allocated " << scope.allocs() << " times in "
       << kCalls << " calls";
+}
+
+TEST(AllocPin, MakespanLowerBoundIsAllocationFreeWhenWarm) {
+  // Every closed ratio window runs the lower bound over its uses buffer:
+  // once its thread_local scratch is warm (origin table, counting-sort
+  // arrays, spread sample) a call must not touch the allocator. Object 0
+  // has > 512 users, so the sampled spread path runs too.
+  const Network net = make_line(16);
+  std::vector<ObjectOrigin> origins;
+  for (ObjId o = 0; o < 24; ++o)
+    origins.push_back({o * 7 + 2, static_cast<NodeId>(o % 16), o % 3});
+  std::vector<ObjectUse> uses;
+  for (std::int32_t i = 0; i < 900; ++i) {
+    const auto node = static_cast<NodeId>((i * 5) % 16);
+    uses.push_back({origins[0].id, node});
+    uses.push_back({origins[static_cast<std::size_t>(i % 24)].id, node});
+  }
+  const LowerBoundBreakdown warm =
+      makespan_lower_bound(uses, origins, *net.oracle, 2);
+
+  constexpr int kCalls = 64;
+  AllocScope scope;
+  Time sum = 0;
+  for (int i = 0; i < kCalls; ++i)
+    sum += makespan_lower_bound(uses, origins, *net.oracle, 2).best();
+  if (!alloc_tracking_enabled())
+    GTEST_SKIP() << "DTM_ALLOC_TRACK is OFF: counters read zero vacuously";
+  EXPECT_EQ(sum, kCalls * warm.best());
+  EXPECT_EQ(scope.allocs(), 0)
+      << "makespan_lower_bound allocated (" << scope.allocs() << " allocs / "
+      << kCalls << " calls)";
 }
 
 TEST(AllocPin, CountersAgreeWithTrackingMode) {

@@ -1,10 +1,16 @@
 // Tests for core/lower_bound: the certificates must be correct (<= the
-// makespan of any feasible schedule) and tight on crafted instances.
+// makespan of any feasible schedule), tight on crafted instances, and equal
+// to the map + all-pairs reference (tests/ref/lower_bound) on fuzzed ones.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
 
 #include "batch/batch_scheduler.hpp"
 #include "core/lower_bound.hpp"
 #include "net/topology.hpp"
+#include "ref/lower_bound.hpp"
+#include "sim/registry.hpp"
 #include "test_helpers.hpp"
 
 namespace dtm {
@@ -152,6 +158,115 @@ TEST(LowerBound, NeverExceedsExhaustiveOptimum) {
     EXPECT_LE(lb.spread, opt);
     EXPECT_LE(lb.best(), std::max<Time>(opt, 1));
   }
+}
+
+// Differential fuzz against the map + all-pairs reference: the flat
+// counting-sort grouping, the distinct-node spread loop and its diameter
+// cut-off must reproduce every certificate exactly. Covers the formula,
+// APSP and landmark oracles, latency factors 1-3, creation times > 0,
+// objects with more than 512 users (sampling stride > 1), every user on
+// one node, duplicate accesses and duplicate origin ids (last one wins).
+TEST(LowerBound, MatchesMapOracleOnFuzzedInstances) {
+  const std::vector<std::string> topologies{
+      "clique:n=12",
+      "line:n=40",
+      "ring:n=17",
+      "grid:dims=5x6",
+      "cluster:alpha=3,beta=4,gamma=5",
+      "random:n=40,extra=50,maxw=3,seed=3",
+      "random:n=60,extra=80,maxw=3,seed=5,routing=landmark"};
+  Rng rng(0x1B0D);
+  for (const std::string& topo : topologies) {
+    const Network net = Registry::make_network(parse_spec(topo));
+    const auto n_nodes = static_cast<std::int64_t>(net.num_nodes());
+    const auto node = [&] {
+      return static_cast<NodeId>(rng.uniform_int(0, n_nodes - 1));
+    };
+    for (int it = 0; it < 24; ++it) {
+      const std::int64_t latency = 1 + it % 3;
+      const auto n_obj = static_cast<ObjId>(rng.uniform_int(1, 10));
+      std::vector<ObjectOrigin> origins;
+      for (ObjId o = 0; o < n_obj; ++o) {
+        const Time created = rng.uniform_int(0, 1) * rng.uniform_int(1, 9);
+        origins.push_back(origin(o * 3 + 1, node(), created));
+      }
+      for (ObjId o = 0; o < n_obj; o += 3)  // re-listed ids: last one wins
+        origins.push_back(origin(o * 3 + 1, node(), rng.uniform_int(0, 4)));
+
+      const int shape = it % 4;  // 0 plain, 1 hot object, 2 one node, 3 dups
+      const bool hot = shape == 1;
+      const NodeId only = node();
+      const std::int64_t n_txn = hot ? rng.uniform_int(520, 1100)
+                                     : rng.uniform_int(0, 60);
+      std::vector<Transaction> txns;
+      for (TxnId i = 0; i < n_txn; ++i) {
+        std::vector<ObjId> objs;
+        if (hot) objs.push_back(1);  // object 1 has > 512 users
+        const auto k = rng.uniform_int(1, 3);
+        for (std::int64_t j = 0; j < k; ++j)
+          objs.push_back(
+              static_cast<ObjId>(rng.uniform_int(0, n_obj - 1) * 3 + 1));
+        if (shape == 3) objs.push_back(objs.front());  // duplicate access
+        txns.push_back(txn(i, shape == 2 ? only : node(), 0, objs));
+      }
+
+      const auto got = makespan_lower_bound(txns, origins, *net.oracle,
+                                            latency);
+      const auto want = map_makespan_lower_bound(txns, origins, *net.oracle,
+                                                 latency);
+      SCOPED_TRACE(::testing::Message() << topo << " iter " << it);
+      EXPECT_EQ(got.load, want.load);
+      EXPECT_EQ(got.reach, want.reach);
+      EXPECT_EQ(got.spread, want.spread);
+      EXPECT_EQ(got.lmax, want.lmax);
+    }
+  }
+}
+
+// The spread samples every step-th user in use order. Here every sampled
+// position (even, step 2 for 700 users) sits on node 5 and the unsampled
+// ones alternate between the line's ends: the sample's spread is only
+// created + 0, and a grouping that lost the use order would pair the ends.
+TEST(LowerBound, SpreadSamplesUsersInUseOrder) {
+  const Network net = make_line(40);
+  std::vector<Transaction> txns;
+  for (TxnId i = 0; i < 700; ++i)
+    txns.push_back(txn(i, i % 2 == 0 ? 5 : (i % 4 == 1 ? 0 : 39), 0, {0}));
+  const std::vector<ObjectOrigin> origins{origin(0, 20, 3)};
+  const auto got = makespan_lower_bound(txns, origins, *net.oracle, 2);
+  const auto want = map_makespan_lower_bound(txns, origins, *net.oracle, 2);
+  EXPECT_EQ(got.spread, 3);
+  EXPECT_EQ(got.spread, want.spread);
+  EXPECT_EQ(got.reach, 3 + 2 * 20);
+  EXPECT_EQ(got.reach, want.reach);
+  EXPECT_EQ(got.load, want.load);
+  EXPECT_EQ(got.lmax, 700);
+}
+
+/// The message part of a CheckError (after the expression and location).
+std::string check_message(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    const auto at = what.find(" — ");
+    return at == std::string::npos ? what : what.substr(at);
+  }
+  return "no throw";
+}
+
+TEST(LowerBound, MissingOriginThrowsTheReferenceMessage) {
+  const Network net = make_line(8);
+  // Objects 9 and 4 lack an origin; both versions name the smaller one.
+  const std::vector<Transaction> txns{txn(1, 0, 0, {2, 9}), txn(2, 3, 0, {4}),
+                                      txn(3, 5, 0, {2})};
+  const std::vector<ObjectOrigin> origins{origin(2, 1), origin(7, 0)};
+  const std::string got = check_message(
+      [&] { (void)makespan_lower_bound(txns, origins, *net.oracle); });
+  EXPECT_EQ(got, " — object 4 has no origin");
+  EXPECT_EQ(got, check_message([&] {
+              (void)map_makespan_lower_bound(txns, origins, *net.oracle);
+            }));
 }
 
 }  // namespace
